@@ -42,6 +42,13 @@ def _entity(text: str) -> tuple[str, str]:
     return domain, entity_id
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_corpus_flags(parser, labels_required: bool) -> None:
     parser.add_argument("--knowledge", required=True, help="knowledge JSON file")
     parser.add_argument("--logs", required=True, help="dialog logs JSON file")
@@ -69,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p.add_argument("--model", required=True, help="output model JSON file")
     detect_p.add_argument("--lr", type=float, default=0.1)
     detect_p.add_argument("--epochs", type=int, default=100)
-    detect_p.add_argument("--seed", type=int, default=42)
     detect_p.add_argument("--hash-dim", type=int, default=4096)
     detect_p.add_argument("--turn-buckets", type=int, default=16)
     detect_p.add_argument("--threshold", type=float, default=0.5)
@@ -80,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     select_p.add_argument("--model", required=True, help="output model JSON file")
     select_p.add_argument("--lr", type=float, default=0.5)
     select_p.add_argument("--epochs", type=int, default=200)
-    select_p.add_argument("--seed", type=int, default=42)
     select_p.add_argument("--kernels", type=int, default=11)
     select_p.add_argument("--attention", action="store_true")
     select_p.add_argument("--line-search", action="store_true")
@@ -94,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--detector", help="detector model JSON file")
     eval_p.add_argument("--tfidf", action="store_true", help="add the TF-IDF baseline row")
     eval_p.add_argument("--format", choices=["json", "md"], default="json")
-    eval_p.add_argument("--jobs", type=int, default=1)
     eval_p.add_argument(
         "--stamp", nargs="?", const="", metavar="TEXT",
         help="stamp the report (current UTC time when TEXT is omitted)",
@@ -105,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank_p.add_argument("--model", required=True, help="selector model JSON file")
     rank_p.add_argument("--question", required=True)
     rank_p.add_argument("--entity", required=True, type=_entity, metavar="DOMAIN/ENTITY_ID")
-    rank_p.add_argument("--top", type=int, help="print only the best N candidates")
+    rank_p.add_argument("--top", type=_positive_int, help="print only the best N candidates")
 
     pipeline_p = commands.add_parser("pipeline", help="run detect-select-format on one dialog")
     _add_corpus_flags(pipeline_p, labels_required=False)
@@ -141,7 +145,6 @@ def cmd_train_detect(args) -> int:
         turn_buckets=args.turn_buckets,
         lr=args.lr,
         epochs=args.epochs,
-        seed=args.seed,
         threshold=args.threshold,
         line_search=args.line_search,
     )
@@ -169,7 +172,6 @@ def cmd_train_select(args) -> int:
     hyper = SelectorHyper(
         lr=args.lr,
         epochs=args.epochs,
-        seed=args.seed,
         attention_flag=args.attention,
         n_kernels=args.kernels,
         line_search=args.line_search,
@@ -197,7 +199,7 @@ def cmd_eval(args) -> int:
         detection = evaluate_detector(load_detector(args.detector), corpus)
     if args.model:
         model, provider = load_selector(args.model)
-        selection = evaluate_selector(model, provider, corpus, jobs=args.jobs)
+        selection = evaluate_selector(model, provider, corpus)
     if detection is not None or selection is not None:
         entries.append(ReportEntry("gks", detection, selection))
     if args.tfidf:

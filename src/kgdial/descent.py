@@ -1,0 +1,29 @@
+"""Full-batch gradient descent shared by the detector and selector trainers."""
+
+# Step halvings tried per epoch before the line search keeps the weights.
+MAX_HALVINGS = 60
+
+
+def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
+    """Descend on ``loss`` (with gradient ``gradient``) from ``w0`` for ``epochs`` steps.
+
+    Without ``line_search`` every step is ``lr`` times the gradient. With it
+    the step starts at ``lr`` and is halved, up to ``MAX_HALVINGS`` tries,
+    until the loss does not increase; if no try qualifies the weights stay
+    put. Returns the final weights and the loss trajectory (epochs + 1
+    entries, the first at ``w0``).
+    """
+    weights = w0
+    losses = [loss(weights)]
+    for _ in range(epochs):
+        direction = gradient(weights)
+        step, current = lr, losses[-1]
+        for _ in range(MAX_HALVINGS if line_search else 1):
+            trial = weights - step * direction
+            trial_loss = loss(trial)
+            if trial_loss <= current or not line_search:
+                weights, current = trial, trial_loss
+                break
+            step /= 2
+        losses.append(current)
+    return weights, losses

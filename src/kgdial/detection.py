@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Corpus, DialogInstance, Speaker
+from .descent import _descend
 from .embedding import tokenize
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
@@ -92,11 +93,12 @@ class DetectorModel:
             raise ValueError("weights must be finite")
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+def _sigmoid_vector(z):
+    """Elementwise logistic function of an array or a scalar; exp never overflows.
+
+    Equals 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) for z < 0.
+    """
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z)))
 
 
 def detect_score(model: DetectorModel, values: np.ndarray) -> float:
@@ -104,7 +106,7 @@ def detect_score(model: DetectorModel, values: np.ndarray) -> float:
     values = np.asarray(values, dtype=float)
     if values.shape != model.weights.shape:
         raise ValueError(f"feature shape {values.shape} does not match weights {model.weights.shape}")
-    return float(_sigmoid(float(model.weights @ values)))
+    return float(_sigmoid_vector(model.weights @ values))
 
 
 class DetectionResult(NamedTuple):
@@ -127,23 +129,8 @@ class DetectorHyper:
     turn_buckets: int = 16
     lr: float = 0.1
     epochs: int = 100
-    seed: int = 42
     threshold: float = 0.5
     line_search: bool = False
-
-
-def _sigmoid_vector(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp = np.exp(z[~positive])
-    out[~positive] = exp / (1.0 + exp)
-    return out
-
-
-def _log_loss(matrix: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-    z = matrix @ weights
-    return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * z).mean())
 
 
 def train_detector(
@@ -168,23 +155,16 @@ def train_detector(
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")
 
-    weights = np.zeros(hyper.hash_dim + hyper.turn_buckets)
-    losses = [_log_loss(matrix, labels, weights)]
-    for _ in range(hyper.epochs):
-        probabilities = _sigmoid_vector(matrix @ weights)
-        gradient = matrix.T @ (probabilities - labels) / len(labels)
+    def loss(weights):
+        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * (matrix @ weights)).mean())
 
-        if hyper.line_search:
-            step = hyper.lr
-            for _ in range(60):
-                trial = weights - step * gradient
-                if _log_loss(matrix, labels, trial) <= losses[-1]:
-                    weights = trial
-                    break
-                step /= 2
-        else:
-            weights = weights - hyper.lr * gradient
-        losses.append(_log_loss(matrix, labels, weights))
+    def gradient(weights):
+        return matrix.T @ (_sigmoid_vector(matrix @ weights) - labels) / len(labels)
+
+    weights, losses = _descend(
+        loss, gradient, np.zeros(hyper.hash_dim + hyper.turn_buckets),
+        hyper.lr, hyper.epochs, hyper.line_search,
+    )
     model = DetectorModel(weights, hyper.hash_dim, hyper.turn_buckets, hyper.threshold)
     return model, losses
 

@@ -154,12 +154,9 @@ def provider_from_description(description: dict):
 class PairEmbedding:
     """Token-level embedding layout of one question-knowledge pair.
 
-    ``question_vectors`` is m x d, ``knowledge_vectors`` is p x d, and
-    ``cls_vector`` is the mean over all m + p token vectors (a summary slot
-    kept for layout fidelity; the kernel features never consume it).
+    ``question_vectors`` is m x d and ``knowledge_vectors`` is p x d.
     """
 
-    cls_vector: np.ndarray
     question_vectors: np.ndarray
     knowledge_vectors: np.ndarray
 
@@ -169,9 +166,9 @@ class PairEmbedding:
             raise ValueError(f"need m >= 1, p >= 1, d >= 2, got m={m}, p={p}, d={d}")
         if m > MAX_QUESTION_TOKENS or p > MAX_KNOWLEDGE_TOKENS:
             raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} required")
-        if self.knowledge_vectors.shape[1] != d or self.cls_vector.shape != (d,):
-            raise ValueError("question, knowledge, and cls dimensions differ")
-        for a in (self.cls_vector, self.question_vectors, self.knowledge_vectors):
+        if self.knowledge_vectors.shape[1] != d:
+            raise ValueError("question and knowledge dimensions differ")
+        for a in (self.question_vectors, self.knowledge_vectors):
             if not np.all(np.isfinite(a)):
                 raise ValueError("embedding entries must be finite")
 
@@ -192,31 +189,25 @@ def embed_pair(provider, question: str, knowledge: KnowledgeSnippet) -> PairEmbe
     """Embed a question against one snippet (title and body joined by a space)."""
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
     k_tokens = tokenize(knowledge.text)[:MAX_KNOWLEDGE_TOKENS]
-    question_vectors = provider.embed_tokens(q_tokens)
-    knowledge_vectors = provider.embed_tokens(k_tokens)
-    cls_vector = np.concatenate([question_vectors, knowledge_vectors]).mean(axis=0)
-    return PairEmbedding(cls_vector, question_vectors, knowledge_vectors)
+    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens))
 
 
 @dataclass
 class Vocabulary:
-    """Dense token ids and per-token document frequencies over snippet texts."""
+    """Per-token document frequencies over snippet texts."""
 
-    ids: dict[str, int] = field(default_factory=dict)
     doc_freq: dict[str, int] = field(default_factory=dict)
     n_documents: int = 0
 
 
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
-    """Index every token of every snippet text, ids in first-appearance order."""
+    """Count, per token, the snippet texts it appears in."""
     vocab = Vocabulary()
     for snippets in corpus.snippets.values():
         for snippet in snippets:
             vocab.n_documents += 1
             seen_here = set()
             for token in tokenize(snippet.text):
-                if token not in vocab.ids:
-                    vocab.ids[token] = len(vocab.ids)
                 if token not in seen_here:
                     seen_here.add(token)
                     vocab.doc_freq[token] = vocab.doc_freq.get(token, 0) + 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .corpus import Corpus
@@ -114,27 +113,15 @@ def _warn_ties(ties: int, label: str) -> None:
         )
 
 
-def evaluate_selector(
-    model: SelectorModel, provider, corpus: Corpus, jobs: int = 1
-) -> SelectionMetrics:
-    """Rank every labeled knowledge-seeking dialog and aggregate golden ranks.
-
-    ``jobs`` > 1 ranks dialogs concurrently; aggregation stays in corpus
-    order, so results are identical to the sequential run.
-    """
+def evaluate_selector(model: SelectorModel, provider, corpus: Corpus) -> SelectionMetrics:
+    """Rank every labeled knowledge-seeking dialog and aggregate golden ranks."""
     instances = selection_instances(corpus, provider, model.kernels)
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
-
-    def position_of(instance):
-        dist = readout(instance.features, model)
-        return _golden_position(dist.probabilities, instance.golden_index)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(position_of, instances))
-    else:
-        outcomes = [position_of(instance) for instance in instances]
+    outcomes = [
+        _golden_position(readout(instance.features, model).probabilities, instance.golden_index)
+        for instance in instances
+    ]
     _warn_ties(sum(t for _, t in outcomes), "selector evaluation")
     return selection_metrics([p for p, _ in outcomes])
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, KnowledgeSnippet, SnippetRef, candidate_set
+from .descent import _descend
 from .embedding import PairEmbedding, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
@@ -207,20 +208,55 @@ def selection_loss(dist: SelectionDistribution, golden_index: int) -> float:
     return float(log_z - dist.scores[golden_index])
 
 
-def loss_gradient(features: np.ndarray, model: SelectorModel, golden_index: int) -> np.ndarray:
-    """Gradient of the cross-entropy loss with respect to the readout weights.
+def _batch(feature_list: list[np.ndarray], attention: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded n x L x K node features and the n x L mask of real candidates.
 
-    Equals sum_n (P_n - 1[n = golden]) * S_n, where S_n is the attention
-    output when the flag is set (the attention itself has no parameters).
+    Attention has no parameters, so it is applied here, once per instance and
+    before padding (padded rows must not join the attention softmax).
     """
-    if model.attention_enabled:
-        features = cross_node_attention(features)
-    dist = readout(features, SelectorModel(model.kernels, model.readout_weights))
-    if not 0 <= golden_index < dist.size:
-        raise IndexError(f"golden_index {golden_index} out of range for {dist.size} candidates")
-    residual = dist.probabilities.copy()
-    residual[golden_index] -= 1.0
-    return residual @ features
+    widths = [f.shape[0] for f in feature_list]
+    features = np.zeros((len(feature_list), max(widths), feature_list[0].shape[1]))
+    for row, f in enumerate(feature_list):
+        features[row, : widths[row]] = cross_node_attention(f) if attention else f
+    return features, np.arange(features.shape[1]) < np.array(widths)[:, None]
+
+
+def _shifted_scores(features: np.ndarray, mask: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """n x L readout scores minus each instance's maximum, and n x 1 log-sum-exps of them.
+
+    Padded entries score -inf, so their probability is exactly 0.
+    """
+    scores = np.where(mask, features @ weights, -np.inf)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _mean_loss(features: np.ndarray, mask: np.ndarray, golden: np.ndarray, weights) -> float:
+    """Mean cross-entropy log Z - s_golden over a padded batch."""
+    shifted, log_z = _shifted_scores(features, mask, weights)
+    return float((log_z[:, 0] - shifted[np.arange(golden.size), golden]).mean())
+
+
+def loss_gradient(features: np.ndarray, model: SelectorModel, golden_index, mask=None) -> np.ndarray:
+    """Gradient of the mean cross-entropy loss with respect to the readout weights.
+
+    Takes one instance (l x K node features and an int ``golden_index``) or
+    a zero-padded batch (n x L x K features, n golden indices and the n x L
+    ``mask`` of real candidates). Equals the mean over instances of
+    sum_l (P_l - 1[l = golden]) * S_l, where S_l is the attention output
+    when the model's flag is set. The attention has no parameters, so a
+    batch carries features that were attended when it was built (see
+    ``train_selector``) and the flag is read for a single instance only.
+    """
+    if mask is None:
+        if not 0 <= golden_index < len(features):
+            raise IndexError(f"golden_index {golden_index} out of range for {len(features)} candidates")
+        features, mask = _batch([features], model.attention_enabled)
+        golden_index = np.array([golden_index])
+    shifted, log_z = _shifted_scores(features, mask, model.readout_weights)
+    residual = np.exp(shifted - log_z)
+    residual[np.arange(golden_index.size), golden_index] -= 1.0
+    return np.einsum("nl,nlk->k", residual, features) / golden_index.size
 
 
 @dataclass(frozen=True)
@@ -229,7 +265,6 @@ class SelectionInstance:
 
     features: np.ndarray
     golden_index: int
-    candidate_refs: tuple[SnippetRef, ...]
 
 
 def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[SelectionInstance]:
@@ -248,9 +283,7 @@ def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[Sele
             i for i, c in enumerate(candidates) if c.doc_id == golden.doc_id
         )
         features = node_features(dialog.current_turn.text, candidates, provider, bank)
-        instances.append(
-            SelectionInstance(features, golden_index, tuple(c.ref for c in candidates))
-        )
+        instances.append(SelectionInstance(features, golden_index))
     return instances
 
 
@@ -258,17 +291,9 @@ def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[Sele
 class SelectorHyper:
     lr: float = 0.5
     epochs: int = 200
-    seed: int = 42
     attention_flag: bool = False
     n_kernels: int = 11
     line_search: bool = False
-
-
-def _mean_loss(instances, model: SelectorModel) -> float:
-    total = 0.0
-    for instance in instances:
-        total += selection_loss(readout(instance.features, model), instance.golden_index)
-    return total / len(instances)
 
 
 def train_selector(
@@ -287,30 +312,14 @@ def train_selector(
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to train on")
 
-    weights = np.zeros(bank.size)
-    model = SelectorModel(bank, weights, hyper.attention_flag)
-    losses = [_mean_loss(instances, model)]
-    for _ in range(hyper.epochs):
-        gradient = np.zeros(bank.size)
-        for instance in instances:
-            gradient += loss_gradient(instance.features, model, instance.golden_index)
-        gradient /= len(instances)
-
-        if hyper.line_search:
-            step = hyper.lr
-            candidate = None
-            for _ in range(60):
-                trial = SelectorModel(bank, weights - step * gradient, hyper.attention_flag)
-                if _mean_loss(instances, trial) <= losses[-1]:
-                    candidate = trial
-                    break
-                step /= 2
-            model = candidate if candidate is not None else model
-        else:
-            model = SelectorModel(bank, weights - hyper.lr * gradient, hyper.attention_flag)
-        weights = model.readout_weights
-        losses.append(_mean_loss(instances, model))
-    return model, losses
+    features, mask = _batch([i.features for i in instances], hyper.attention_flag)
+    golden = np.array([i.golden_index for i in instances])
+    weights, losses = _descend(
+        lambda w: _mean_loss(features, mask, golden, w),
+        lambda w: loss_gradient(features, SelectorModel(bank, w), golden, mask),
+        np.zeros(bank.size), hyper.lr, hyper.epochs, hyper.line_search,
+    )
+    return SelectorModel(bank, weights, hyper.attention_flag), losses
 
 
 def selection_distribution(

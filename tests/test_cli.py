@@ -130,14 +130,6 @@ class TestEval:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
-    def test_jobs_flag_matches_sequential(self, workdir, capsys):
-        base = ["eval", *workdir["corpus_flags"], "--model", workdir["selector"]]
-        capsys.readouterr()
-        assert main(base) == 0
-        sequential = capsys.readouterr().out
-        assert main([*base, "--jobs", "3"]) == 0
-        assert capsys.readouterr().out == sequential
-
     def test_stamp_opt_in(self, workdir, capsys):
         base = ["eval", *workdir["corpus_flags"], "--model", workdir["selector"],
                 "--format", "md"]
@@ -181,6 +173,18 @@ class TestRank:
                      "--model", hotel_files["model"], "--question", HOTEL_QUESTION,
                      "--entity", "hotel/1", "--top", "1"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_an_argument_error(self, hotel_files, capsys, top):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["rank", "--knowledge", hotel_files["knowledge"],
+                  "--model", hotel_files["model"], "--question", HOTEL_QUESTION,
+                  "--entity", "hotel/1", "--top", top])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--top: must be >= 1" in captured.err
 
     def test_probabilities_sum_to_one_at_display_precision(self, hotel_files, capsys):
         capsys.readouterr()

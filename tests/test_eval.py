@@ -148,12 +148,6 @@ class TestEvaluateSelector:
         metrics = evaluate_selector(self.exact_model(), provider7, corpus)
         assert metrics.acc_at_1 == metrics.acc_at_5 == metrics.mrr_at_5 == 1.0
 
-    def test_jobs_parallel_matches_sequential(self, small_corpus, provider7, small_selector):
-        model, _ = small_selector
-        sequential = evaluate_selector(model, provider7, small_corpus, jobs=1)
-        parallel = evaluate_selector(model, provider7, small_corpus, jobs=4)
-        assert sequential == parallel
-
     def test_no_labeled_dialogs_rejected(self, provider7):
         corpus = hotel_corpus()
         unlabeled = Corpus(corpus.snippets, [], corpus.entity_names)

@@ -28,6 +28,8 @@ from kgdial.selector import (
     selection_loss,
     train_selector,
     translation_matrix,
+    _batch,
+    _mean_loss,
 )
 
 from helpers import FixedProvider, ScaledProvider, finite_difference_gradient, naive_node_features
@@ -326,6 +328,36 @@ class TestTrainSelector:
         )
         with pytest.raises(ValueError, match="no labeled"):
             train_selector(corpus, provider7)
+
+    def test_confident_model_trains_without_underflow(self, provider7):
+        corpus = synth_corpus(1, SynthParams(n_dialogs=100))
+        model, losses = train_selector(corpus, provider7, SelectorHyper(lr=50, epochs=2000))
+        assert np.all(np.isfinite(model.readout_weights))
+        assert len(losses) == 2001
+        assert all(math.isfinite(loss) for loss in losses)
+
+
+class TestBatchCore:
+    def test_padded_batch_matches_per_instance_loop(self, bank11):
+        rng = np.random.default_rng(21)
+        sizes = (1, 3, 8, 3)
+        feature_list = [rng.standard_normal((l, 11)) for l in sizes]
+        golden = np.array([int(rng.integers(l)) for l in sizes])
+        weights = rng.standard_normal(11)
+        for attention in (False, True):
+            model = SelectorModel(bank11, weights, attention)
+            features, mask = _batch(feature_list, attention)
+            assert features.shape == (4, 8, 11)
+            loss = _mean_loss(features, mask, golden, weights)
+            gradient = loss_gradient(features, model, golden, mask)
+            expected_loss = sum(
+                selection_loss(readout(f, model), int(g)) for f, g in zip(feature_list, golden)
+            ) / len(sizes)
+            expected_gradient = sum(
+                loss_gradient(f, model, int(g)) for f, g in zip(feature_list, golden)
+            ) / len(sizes)
+            assert abs(loss - expected_loss) <= 1e-12
+            np.testing.assert_allclose(gradient, expected_gradient, rtol=0, atol=1e-12)
 
 
 class TestRank:
