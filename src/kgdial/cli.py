@@ -17,6 +17,7 @@ from .corpus import (
     Corpus,
     CorpusError,
     SynthParams,
+    candidate_set,
     load_corpus,
     load_knowledge,
     synth_corpus,
@@ -214,11 +215,8 @@ def cmd_eval(args) -> int:
 def cmd_rank(args) -> int:
     model, provider = load_selector(args.model)
     snippets, names = load_knowledge(args.knowledge)
-    corpus = Corpus(snippets, [], names)
-    if args.entity not in corpus.snippets:
-        raise CorpusError(f"unknown entity ({args.entity[0]!r}, {args.entity[1]!r})")
-    candidates = corpus.snippets[args.entity]
-    ranked = rank(model, provider, args.question, list(candidates))
+    candidates = candidate_set(Corpus(snippets, [], names), args.entity)
+    ranked = rank(model, provider, args.question, candidates)
     if args.top is not None:
         ranked = ranked[: args.top]
     by_ref = {c.ref: c for c in candidates}

@@ -289,18 +289,31 @@ def load_corpus(knowledge_path, logs_path, labels_path=None) -> Corpus:
     return corpus
 
 
-def candidate_set(
-    corpus: Corpus, dialog: DialogInstance | None, entity: tuple[str, str]
-) -> list[KnowledgeSnippet]:
+def candidate_set(corpus: Corpus, entity: tuple[str, str]) -> list[KnowledgeSnippet]:
     """The entity's snippets in stored order; the candidate set for selection.
 
     Raises :class:`CorpusError` for an unknown entity.
     """
-    key = (entity[0], entity[1])
     try:
-        return list(corpus.snippets[key])
+        return list(corpus.snippets[tuple(entity)])
     except KeyError:
-        raise CorpusError(f"unknown entity ({key[0]!r}, {key[1]!r})") from None
+        raise CorpusError(f"unknown entity ({entity[0]!r}, {entity[1]!r})") from None
+
+
+def labeled_candidates(corpus: Corpus):
+    """Yield (dialog, candidates, golden index) per labeled knowledge-seeking dialog, in corpus order.
+
+    Candidates are the golden entity's snippets; a golden doc missing from them raises CorpusError.
+    """
+    for dialog in corpus.dialogs:
+        if not dialog.target or dialog.golden is None:
+            continue
+        golden = dialog.golden
+        candidates = candidate_set(corpus, (golden.domain, golden.entity_id))
+        doc_ids = [c.doc_id for c in candidates]
+        if golden.doc_id not in doc_ids:
+            raise CorpusError(f"dialog {dialog.id}: golden doc {golden.doc_id!r} is not among its entity's snippets")
+        yield dialog, candidates, doc_ids.index(golden.doc_id)
 
 
 def _write_json(payload, path) -> None:

@@ -19,7 +19,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -108,6 +107,8 @@ class FileVectors:
                     vector = np.array([float(x) for x in parts[1:]])
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric vector entry") from None
+                if not np.all(np.isfinite(vector)):
+                    raise ValueError(f"{path}:{lineno}: non-finite vector entry")
                 if dim is None:
                     dim = vector.size
                 elif vector.size != dim:
@@ -152,20 +153,22 @@ def provider_from_description(description: dict):
 
 @dataclass(frozen=True)
 class PairEmbedding:
-    """Token-level embedding layout of one question-knowledge pair.
+    """Token-level embeddings of one question (m x d) and of l knowledge snippets stacked row-wise (p x d).
 
-    ``question_vectors`` is m x d and ``knowledge_vectors`` is p x d.
+    Snippet i's rows in ``knowledge_vectors`` start at ``knowledge_starts[i]``.
     """
 
     question_vectors: np.ndarray
     knowledge_vectors: np.ndarray
+    knowledge_starts: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        m, p, d = self.m, self.p, self.dim
-        if m < 1 or p < 1 or d < 2:
-            raise ValueError(f"need m >= 1, p >= 1, d >= 2, got m={m}, p={p}, d={d}")
-        if m > MAX_QUESTION_TOKENS or p > MAX_KNOWLEDGE_TOKENS:
-            raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} required")
+        m, d = self.m, self.dim
+        widths = np.diff([*self.knowledge_starts, self.p])
+        if m < 1 or d < 2 or self.knowledge_starts[:1] != (0,) or np.any(widths < 1):
+            raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths.tolist()}, d={d}")
+        if m > MAX_QUESTION_TOKENS or widths.max() > MAX_KNOWLEDGE_TOKENS:
+            raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
         if self.knowledge_vectors.shape[1] != d:
             raise ValueError("question and knowledge dimensions differ")
         for a in (self.question_vectors, self.knowledge_vectors):
@@ -185,11 +188,16 @@ class PairEmbedding:
         return self.question_vectors.shape[1]
 
 
-def embed_pair(provider, question: str, knowledge: KnowledgeSnippet) -> PairEmbedding:
-    """Embed a question against one snippet (title and body joined by a space)."""
+def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> PairEmbedding:
+    """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call."""
+    if not candidates:
+        raise ValueError("candidates must be non-empty")
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-    k_tokens = tokenize(knowledge.text)[:MAX_KNOWLEDGE_TOKENS]
-    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens))
+    starts, k_tokens = [], []
+    for snippet in candidates:
+        starts.append(len(k_tokens))
+        k_tokens += tokenize(snippet.text)[:MAX_KNOWLEDGE_TOKENS]
+    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens), tuple(starts))
 
 
 @dataclass

@@ -13,7 +13,7 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .corpus import Corpus
+from .corpus import Corpus, labeled_candidates
 from .detection import DetectorModel, detect
 from .embedding import Vocabulary, build_vocabulary, tfidf_rank
 from .selector import SelectorModel, readout, selection_instances
@@ -132,15 +132,10 @@ def evaluate_tfidf(corpus: Corpus, vocab: Vocabulary | None = None) -> Selection
         vocab = build_vocabulary(corpus)
     positions = []
     ties = 0
-    for dialog in corpus.dialogs:
-        if not dialog.target or dialog.golden is None:
-            continue
-        golden = dialog.golden
-        candidates = corpus.snippets[(golden.domain, golden.entity_id)]
+    for dialog, candidates, golden_index in labeled_candidates(corpus):
         ranked = tfidf_rank(corpus, dialog.current_turn.text, candidates, vocab)
         scores = {snippet.doc_id: score for snippet, score in ranked}
         ordered_scores = [scores[c.doc_id] for c in candidates]
-        golden_index = next(i for i, c in enumerate(candidates) if c.doc_id == golden.doc_id)
         position, instance_ties = _golden_position(ordered_scores, golden_index)
         positions.append(position)
         ties += instance_ties

@@ -73,7 +73,7 @@ def run_pipeline(
     probability, triggered = detect(detector, dialog)
     if not triggered:
         return PipelineResult(False, probability)
-    candidates = candidate_set(corpus, dialog, entity)
+    candidates = candidate_set(corpus, entity)
     dist = selection_distribution(selector_model, provider, dialog.current_turn.text, candidates)
     top_index = min(range(dist.size), key=lambda i: (-dist.probabilities[i], i))
     generation_input = format_generation_input(candidates[top_index], dialog.turns)

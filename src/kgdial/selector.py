@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, SnippetRef, candidate_set
+from .corpus import Corpus, KnowledgeSnippet, SnippetRef, labeled_candidates
 from .descent import _descend
 from .embedding import PairEmbedding, embed_pair, provider_from_description
 
@@ -80,7 +80,7 @@ def default_kernel_bank(n_kernels: int = 11) -> KernelBank:
 
 
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
-    """m x p cosine similarities between question and knowledge token vectors.
+    """m x p cosine similarities between question and (stacked) knowledge token vectors.
 
     Rows or columns backed by a vector of norm < 1e-12 produce entries of 0.
     """
@@ -94,30 +94,24 @@ def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     return normalize(pair.question_vectors) @ normalize(pair.knowledge_vectors).T
 
 
-def kernel_features(matrix: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Length-K soft match-count feature of one translation matrix.
+def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.ndarray:
+    """Soft match counts of a translation matrix: length K, or l x K given l candidates' first columns.
 
     Per kernel k: (1/m) * sum_i log(max(sum_j exp(-(M_ij - mu_k)^2 /
-    (2 sigma_k^2)), 1e-10)).
+    (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns.
     """
     diff = matrix[:, :, None] - bank.mus[None, None, :]
     responses = np.exp(-(diff**2) / (2.0 * bank.sigmas[None, None, :] ** 2))
-    pooled = responses.sum(axis=1)
+    pooled = responses.sum(axis=1) if starts is None else np.add.reduceat(responses, starts, axis=1)
     return np.log(np.maximum(pooled, KERNEL_EPS)).mean(axis=0)
 
 
 def node_features(
     question: str, candidates: list[KnowledgeSnippet], provider, bank: KernelBank
 ) -> np.ndarray:
-    """l x K matrix of per-candidate kernel features, rows in candidate order."""
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    return np.array(
-        [
-            kernel_features(translation_matrix(embed_pair(provider, question, c)), bank)
-            for c in candidates
-        ]
-    )
+    """l x K matrix of per-candidate kernel features, rows in candidate order, from one matrix."""
+    pair = embed_pair(provider, question, candidates)
+    return kernel_features(translation_matrix(pair), bank, pair.knowledge_starts)
 
 
 def cross_node_attention(features: np.ndarray) -> np.ndarray:
@@ -173,8 +167,8 @@ class SelectionDistribution:
             raise ValueError("probabilities and scores must be equal-length vectors")
         if self.candidate_refs is not None and len(self.candidate_refs) != p.size:
             raise ValueError("candidate_refs length must match probabilities")
-        if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("probabilities must be positive and sum to 1")
+        if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError("probabilities must be finite, zero or positive, and sum to 1")
 
     @property
     def size(self) -> int:
@@ -273,18 +267,10 @@ def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[Sele
     Candidates come from the golden reference's entity; the golden index is
     its position in the entity's stored snippet order.
     """
-    instances = []
-    for dialog in corpus.dialogs:
-        if not dialog.target or dialog.golden is None:
-            continue
-        golden = dialog.golden
-        candidates = candidate_set(corpus, dialog, (golden.domain, golden.entity_id))
-        golden_index = next(
-            i for i, c in enumerate(candidates) if c.doc_id == golden.doc_id
-        )
-        features = node_features(dialog.current_turn.text, candidates, provider, bank)
-        instances.append(SelectionInstance(features, golden_index))
-    return instances
+    return [
+        SelectionInstance(node_features(dialog.current_turn.text, candidates, provider, bank), golden_index)
+        for dialog, candidates, golden_index in labeled_candidates(corpus)
+    ]
 
 
 @dataclass(frozen=True)

@@ -154,25 +154,25 @@ class TestLoadCorpus:
 
 class TestCandidateSet:
     def test_hotel_entity_has_8(self, hotel):
-        assert len(candidate_set(hotel, None, ("hotel", "1"))) == 8
+        assert len(candidate_set(hotel, ("hotel", "1"))) == 8
 
     def test_single_doc_entity(self):
         snippet = KnowledgeSnippet("d", "e", "0", "q?", "a.")
         corpus = Corpus({("d", "e"): [snippet]}, [])
-        assert candidate_set(corpus, None, ("d", "e")) == [snippet]
+        assert candidate_set(corpus, ("d", "e")) == [snippet]
 
     def test_order_matches_storage_after_permutation(self, hotel):
         shuffled = list(reversed(hotel.snippets[("hotel", "1")]))
         corpus = Corpus({("hotel", "1"): shuffled}, [])
-        assert candidate_set(corpus, None, ("hotel", "1")) == shuffled
+        assert candidate_set(corpus, ("hotel", "1")) == shuffled
 
     def test_unknown_entity(self, hotel):
         with pytest.raises(CorpusError, match="unknown entity"):
-            candidate_set(hotel, None, ("hotel", "404"))
+            candidate_set(hotel, ("hotel", "404"))
 
     def test_pure_repeated_calls_equal(self, hotel):
-        first = candidate_set(hotel, None, ("hotel", "1"))
-        assert candidate_set(hotel, None, ("hotel", "1")) == first
+        first = candidate_set(hotel, ("hotel", "1"))
+        assert candidate_set(hotel, ("hotel", "1")) == first
 
 
 class TestSynthCorpus:
@@ -190,7 +190,7 @@ class TestSynthCorpus:
         for dialog in corpus.dialogs:
             if dialog.golden is not None:
                 entity = (dialog.golden.domain, dialog.golden.entity_id)
-                assert len(candidate_set(corpus, dialog, entity)) == 8
+                assert len(candidate_set(corpus, entity)) == 8
 
     def test_token_overlap_invariants_brute_force(self):
         corpus = synth_corpus(11, SynthParams(n_dialogs=100, n_candidates=8))
@@ -199,7 +199,7 @@ class TestSynthCorpus:
                 continue
             query = set(tokenize(dialog.current_turn.text))
             entity = (dialog.golden.domain, dialog.golden.entity_id)
-            for snippet in candidate_set(corpus, dialog, entity):
+            for snippet in candidate_set(corpus, entity):
                 overlap = len(query & set(tokenize(snippet.text)))
                 if snippet.doc_id == dialog.golden.doc_id:
                     assert overlap >= 2

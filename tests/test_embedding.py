@@ -95,6 +95,12 @@ class TestFileVectors:
         provider = FileVectors(self.write(tmp_path, "cat 1.0 0.0\n"))
         np.testing.assert_array_equal(provider.embed("bird"), [0.0, 0.0])
 
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, entry):
+        path = self.write(tmp_path, f"a 1 0\nb {entry} 1\n")
+        with pytest.raises(ValueError, match=r"vectors\.txt:2: non-finite"):
+            FileVectors(path)
+
     def test_duplicate_token_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate token"):
             FileVectors(self.write(tmp_path, "cat 1 0\ncat 0 1\n"))
@@ -134,15 +140,15 @@ class TestFileVectors:
 class TestEmbedPair:
     def test_identical_single_token_pair(self):
         provider = HashedGaussianVectors(seed=7, dim=8)
-        pair = embed_pair(provider, "parking", snippet("0", "parking"))
+        pair = embed_pair(provider, "parking", [snippet("0", "parking")])
         assert pair.m == 1 and pair.p == 1
         np.testing.assert_array_equal(pair.question_vectors, pair.knowledge_vectors)
 
     def test_bitwise_deterministic(self):
         provider = HashedGaussianVectors(seed=7, dim=8)
         item = snippet("0", "Is parking free?", "Yes it is.")
-        a = embed_pair(provider, "any parking?", item)
-        b = embed_pair(provider, "any parking?", item)
+        a = embed_pair(provider, "any parking?", [item])
+        b = embed_pair(provider, "any parking?", [item])
         np.testing.assert_array_equal(a.question_vectors, b.question_vectors)
         np.testing.assert_array_equal(a.knowledge_vectors, b.knowledge_vectors)
 
@@ -150,18 +156,18 @@ class TestEmbedPair:
         provider = HashedGaussianVectors(seed=7, dim=4)
         long_question = " ".join(f"q{i}" for i in range(70))
         long_body = " ".join(f"b{i}" for i in range(140))
-        pair = embed_pair(provider, long_question, snippet("0", "t", long_body))
+        pair = embed_pair(provider, long_question, [snippet("0", "t", long_body)])
         assert pair.m == 64
         assert pair.p == 128
 
     def test_knowledge_uses_title_and_body(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
-        pair = embed_pair(provider, "x", snippet("0", "a b?", "c d."))
+        pair = embed_pair(provider, "x", [snippet("0", "a b?", "c d.")])
         assert pair.p == 4
 
     def test_empty_body_keeps_title_tokens(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
-        pair = embed_pair(provider, "x", snippet("0", "a b?"))
+        pair = embed_pair(provider, "x", [snippet("0", "a b?")])
         assert pair.p == 2
 
     def test_invalid_shapes_rejected(self):
@@ -170,6 +176,26 @@ class TestEmbedPair:
             PairEmbedding(good, np.ones((1, 3)))
         with pytest.raises(ValueError, match="finite"):
             PairEmbedding(np.array([[np.nan, 0.0]]), good)
+
+    def test_stacks_candidates_with_segment_starts(self):
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        items = [snippet("0", "a b c"), snippet("1", "d"), snippet("2", "e f")]
+        pair = embed_pair(provider, "x y", items)
+        assert pair.m == 2 and pair.p == 6
+        assert pair.knowledge_starts == (0, 3, 4)
+        np.testing.assert_array_equal(pair.knowledge_vectors[3], provider.embed("d"))
+
+    def test_empty_and_overlong_segments_rejected(self):
+        question = np.ones((1, 2))
+        with pytest.raises(ValueError, match="p >= 1 per snippet"):
+            PairEmbedding(question, np.ones((3, 2)), (0, 2, 2))
+        with pytest.raises(ValueError, match="p >= 1 per snippet"):
+            PairEmbedding(question, np.ones((3, 2)), (0, 3))
+        with pytest.raises(ValueError, match="p >= 1 per snippet"):
+            PairEmbedding(question, np.ones((3, 2)), (1,))
+        with pytest.raises(ValueError, match="p <= 128 per snippet"):
+            PairEmbedding(question, np.ones((130, 2)), (0, 129))
+        assert PairEmbedding(question, np.ones((256, 2)), (0, 128)).p == 256
 
 
 class TestTfidfRank:

@@ -17,7 +17,7 @@ from kgdial.evaluation import (
     selection_metrics,
 )
 from kgdial.fixtures import hotel_corpus
-from kgdial.selector import SelectorModel, default_kernel_bank
+from kgdial.selector import SelectorModel, default_kernel_bank, rank, selection_instances
 
 from helpers import oracle_detection_metrics, oracle_selection_metrics
 
@@ -117,6 +117,14 @@ class TestSelectionMetrics:
             selection_metrics([1.5])
 
 
+def hotel_corpus_missing_golden():
+    """The hotel corpus with its dialog's golden doc id set to one its entity lacks."""
+    corpus = hotel_corpus()
+    dialog = corpus.dialogs[0]
+    missing = DialogInstance(dialog.id, dialog.turns, True, SnippetRef("hotel", "1", "404"))
+    return Corpus(corpus.snippets, [missing], corpus.entity_names)
+
+
 class TestEvaluateSelector:
     def exact_model(self):
         weights = np.zeros(11)
@@ -154,6 +162,21 @@ class TestEvaluateSelector:
         with pytest.raises(ValueError, match="no labeled"):
             evaluate_selector(self.exact_model(), provider7, unlabeled)
 
+    def test_underflowed_probabilities_rank_and_evaluate(self, provider7):
+        corpus = hotel_corpus()
+        weights = np.zeros(11)
+        weights[-1] = 100.0
+        model = SelectorModel(default_kernel_bank(11), weights)
+        ranked = rank(model, provider7, corpus.dialogs[0].current_turn.text, corpus.snippets[("hotel", "1")])
+        assert ranked[0] == (SnippetRef("hotel", "1", "0"), 1.0)
+        assert min(p for _, p in ranked) == 0.0
+        assert evaluate_selector(model, provider7, corpus).acc_at_1 == 1.0
+
+    def test_golden_missing_from_entity_names_dialog(self, provider7):
+        broken = hotel_corpus_missing_golden()
+        with pytest.raises(ValueError, match="dialog d0000: golden doc '404'"):
+            selection_instances(broken, provider7, default_kernel_bank(11))
+
 
 class TestEvaluateTfidf:
     def test_token_overlap_corpus_ranks_golden_high(self, small_corpus):
@@ -165,6 +188,11 @@ class TestEvaluateTfidf:
         unlabeled = Corpus(corpus.snippets, [], corpus.entity_names)
         with pytest.raises(ValueError, match="no labeled"):
             evaluate_tfidf(unlabeled)
+
+    def test_golden_missing_from_entity_names_dialog(self):
+        broken = hotel_corpus_missing_golden()
+        with pytest.raises(ValueError, match="dialog d0000: golden doc '404'"):
+            evaluate_tfidf(broken)
 
 
 class TestEvaluateDetector:

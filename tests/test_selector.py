@@ -44,7 +44,7 @@ def two_kernel_bank():
 
 
 def pair_of(provider, question, title, body=""):
-    return embed_pair(provider, question, snippet("0", title, body))
+    return embed_pair(provider, question, [snippet("0", title, body)])
 
 
 class TestKernelBank:
@@ -358,6 +358,49 @@ class TestBatchCore:
             ) / len(sizes)
             assert abs(loss - expected_loss) <= 1e-12
             np.testing.assert_allclose(gradient, expected_gradient, rtol=0, atol=1e-12)
+
+
+class TestBatchedNodeFeatures:
+    """One batched pass over all candidates against the oracle and a per-candidate loop."""
+
+    def check(self, question, candidates, provider, bank):
+        features = node_features(question, candidates, provider, bank)
+        assert features.shape == (len(candidates), bank.size)
+        oracle = naive_node_features(question, candidates, provider, bank)
+        np.testing.assert_allclose(features, oracle, rtol=0, atol=1e-10)
+        looped = np.concatenate([node_features(question, [c], provider, bank) for c in candidates])
+        np.testing.assert_allclose(features, looped, rtol=0, atol=1e-12)
+
+    def test_ragged_widths_with_one_token_and_truncated_snippets(self, provider7, bank11):
+        long_body = " ".join(f"w{i % 40}" for i in range(150))
+        candidates = [
+            snippet("0", "parking"),
+            snippet("1", "is parking free", "yes at night"),
+            snippet("2", "w3 w7", long_body),
+            snippet("3", "pool"),
+        ]
+        self.check("is parking free at night w3", candidates, provider7, bank11)
+
+    def test_question_longer_than_64_tokens(self, provider7, bank11):
+        question = " ".join(f"q{i}" for i in range(80))
+        candidates = [snippet("0", "q1 q70"), snippet("1", "q5 q63 x"), snippet("2", "z")]
+        self.check(question, candidates, provider7, bank11)
+
+    def test_out_of_vocabulary_zero_rows_from_file_vectors(self, tmp_path, bank11):
+        path = tmp_path / "vectors.txt"
+        path.write_text("parking 1 0 0\nfree 0 1 0\npool 0.5 0.5 1\n")
+        provider = FileVectors(path)
+        candidates = [snippet("0", "parking oov"), snippet("1", "unknown words"), snippet("2", "pool free")]
+        self.check("is parking free", candidates, provider, bank11)
+
+    def test_64_candidates(self, provider7, bank11):
+        rng = np.random.default_rng(64)
+        words = [f"t{i}" for i in range(40)]
+        candidates = [
+            snippet(str(i), " ".join(rng.choice(words, size=int(rng.integers(1, 9)))))
+            for i in range(64)
+        ]
+        self.check("t1 t2 t3 t4 t5", candidates, provider7, bank11)
 
 
 class TestRank:
