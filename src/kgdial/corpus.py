@@ -50,9 +50,13 @@ class SnippetRef(NamedTuple):
     doc_id: str
 
 
-@dataclass(frozen=True)
-class KnowledgeSnippet:
-    """One external knowledge document: a question-form title and an answer body."""
+class KnowledgeSnippet(NamedTuple):
+    """One external knowledge document: a question-form title and an answer body.
+
+    A NamedTuple like :class:`SnippetRef`: immutable, hashed and compared by
+    field values, so a snippet also equals the plain 5-tuple of its fields
+    and can be indexed.
+    """
 
     domain: str
     entity_id: str
@@ -171,7 +175,7 @@ def load_knowledge(
                 raise CorpusError(
                     f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): 'docs' must be a non-empty object"
                 )
-            key = (str(domain), str(entity_id))
+            key = (domain, entity_id)
             names[key] = str(entity.get("name", ""))
             listed = []
             for doc_id, doc in docs.items():
@@ -189,7 +193,7 @@ def load_knowledge(
                     raise CorpusError(
                         f"{knowledge_path}: doc ({domain!r}, {entity_id!r}, {doc_id!r}): 'body' must be a string"
                     )
-                listed.append(KnowledgeSnippet(key[0], key[1], str(doc_id), title, body))
+                listed.append(KnowledgeSnippet(domain, entity_id, doc_id, title, body))
             snippets[key] = listed
     return snippets, names
 

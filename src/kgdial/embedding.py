@@ -44,7 +44,14 @@ def tokenize(text: str) -> list[str]:
     return tokens if tokens else [EMPTY_TOKEN]
 
 
-class HashedGaussianVectors:
+class _TokenVectors:
+    """Base of the providers: stacks per-token :meth:`embed` vectors row-wise."""
+
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        return np.array([self.embed(t) for t in tokens])
+
+
+class HashedGaussianVectors(_TokenVectors):
     """Standard-normal token vectors keyed by (seed, token) via a stable hash.
 
     The full d-dimensional draw makes vector-level collisions of distinct
@@ -73,14 +80,11 @@ class HashedGaussianVectors:
             self._cache[token] = vector
         return vector
 
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.embed(t) for t in tokens])
-
     def describe(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "dim": self.dim}
 
 
-class FileVectors:
+class FileVectors(_TokenVectors):
     """Token vectors loaded from a text file, one ``token v_1 ... v_d`` line each.
 
     Out-of-vocabulary tokens embed to the zero vector, which downstream cosine
@@ -127,9 +131,6 @@ class FileVectors:
 
     def embed(self, token: str) -> np.ndarray:
         return self._vectors.get(token, self._zero)
-
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.embed(t) for t in tokens])
 
     def describe(self) -> dict:
         return {"kind": self.kind, "path": self.path, "dim": self.dim}

@@ -114,12 +114,16 @@ def _warn_ties(ties: int, label: str) -> None:
 
 
 def evaluate_selector(model: SelectorModel, provider, corpus: Corpus) -> SelectionMetrics:
-    """Rank every labeled knowledge-seeking dialog and aggregate golden ranks."""
+    """Rank every labeled knowledge-seeking dialog and aggregate golden ranks.
+
+    Candidates are ranked on readout scores, not on probabilities, which a
+    confident model rounds into ties (down to exact 0 on underflow).
+    """
     instances = selection_instances(corpus, provider, model.kernels)
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
     outcomes = [
-        _golden_position(readout(instance.features, model).probabilities, instance.golden_index)
+        _golden_position(readout(instance.features, model).scores, instance.golden_index)
         for instance in instances
     ]
     _warn_ties(sum(t for _, t in outcomes), "selector evaluation")

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial.corpus import (
     Corpus,
@@ -139,6 +141,42 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="title is empty"):
             load_corpus(*paths)
 
+    @pytest.mark.parametrize(
+        "knowledge, message",
+        [
+            ([], "expected a domain -> entities object"),
+            ({"hotel": []}, "domain 'hotel': expected an object"),
+            ({"hotel": {"1": "Inn"}}, "entity ('hotel', '1'): missing 'docs'"),
+            ({"hotel": {"1": {"name": "Inn"}}}, "entity ('hotel', '1'): missing 'docs'"),
+            ({"hotel": {"1": {"docs": {}}}}, "entity ('hotel', '1'): 'docs' must be a non-empty object"),
+            ({"hotel": {"1": {"docs": ["q?"]}}}, "entity ('hotel', '1'): 'docs' must be a non-empty object"),
+            ({"hotel": {"1": {"docs": {"0": "q?"}}}}, "doc ('hotel', '1', '0'): missing string 'title'"),
+            ({"hotel": {"1": {"docs": {"0": {"body": "a."}}}}}, "doc ('hotel', '1', '0'): missing string 'title'"),
+            ({"hotel": {"1": {"docs": {"0": {"title": 3}}}}}, "doc ('hotel', '1', '0'): missing string 'title'"),
+            (
+                {"hotel": {"1": {"docs": {"0": {"title": "q?", "body": None}}}}},
+                "doc ('hotel', '1', '0'): 'body' must be a string",
+            ),
+        ],
+        ids=[
+            "top-level-not-object",
+            "domain-not-object",
+            "entity-not-object",
+            "entity-without-docs",
+            "docs-empty",
+            "docs-not-object",
+            "doc-not-object",
+            "title-missing",
+            "title-not-string",
+            "body-not-string",
+        ],
+    )
+    def test_knowledge_rejection_message(self, tmp_path, knowledge, message):
+        paths = write_files(tmp_path, knowledge, [])
+        with pytest.raises(CorpusError) as excinfo:
+            load_corpus(*paths)
+        assert str(excinfo.value) == f"{paths[0]}: {message}"
+
     def test_blank_turn_text_rejected(self, tmp_path):
         logs = [[{"speaker": "U", "text": "   "}]]
         paths = write_files(tmp_path, two_snippet_knowledge(), logs)
@@ -275,11 +313,59 @@ class TestWriteCorpus:
         assert any(r for r in responses)
 
 
+@st.composite
+def corpora(draw):
+    """Valid corpora over arbitrary Unicode ids and texts, labeled or not."""
+    texts = st.text(max_size=12)
+    snippets, names = {}, {}
+    for domain in draw(st.lists(texts, min_size=1, max_size=3, unique=True)):
+        for entity_id in draw(st.lists(texts, min_size=1, max_size=3, unique=True)):
+            doc_ids = draw(st.lists(texts, min_size=1, max_size=4, unique=True))
+            snippets[(domain, entity_id)] = [
+                KnowledgeSnippet(domain, entity_id, doc_id, draw(st.text(min_size=1, max_size=12)), draw(texts))
+                for doc_id in doc_ids
+            ]
+            names[(domain, entity_id)] = draw(texts)
+    refs = [s.ref for docs in snippets.values() for s in docs]
+    turn_text = st.text(min_size=1, max_size=12).filter(str.strip)
+    dialogs = []
+    for index in range(draw(st.integers(0, 4))):
+        history = draw(st.lists(st.tuples(st.sampled_from(Speaker), turn_text), max_size=3))
+        turns = tuple(DialogTurn(speaker, text) for speaker, text in history)
+        turns += (DialogTurn(Speaker.USER, draw(turn_text)),)
+        target = draw(st.booleans())
+        golden = draw(st.sampled_from(refs)) if target else None
+        response = draw(st.none() | texts) if target else None
+        dialogs.append(DialogInstance(f"d{index:04d}", turns, target, golden, response))
+    return Corpus(snippets, dialogs, names)
+
+
+class TestRoundTripProperty:
+    @settings(deadline=None)
+    @given(corpus=corpora())
+    def test_write_then_load_is_equal(self, tmp_path_factory, corpus):
+        paths = [tmp_path_factory.mktemp("round-trip") / p for p in ("k.json", "l.json", "lb.json")]
+        write_corpus(corpus, *paths)
+        loaded = load_corpus(*paths)
+        assert loaded == corpus
+        assert list(loaded.snippets) == list(corpus.snippets)
+        for key, docs in corpus.snippets.items():
+            assert [(s.ref, s.text) for s in loaded.snippets[key]] == [(s.ref, s.text) for s in docs]
+
+
 class TestDomainTypes:
     def test_snippet_text_joins_title_and_body(self):
         snippet = KnowledgeSnippet("d", "e", "0", "q?", "a.")
         assert snippet.text == "q? a."
         assert snippet.ref == SnippetRef("d", "e", "0")
+
+    def test_snippet_is_an_immutable_tuple_of_its_fields(self):
+        snippet = KnowledgeSnippet("d", "e", "0", "q?", "a.")
+        assert snippet == ("d", "e", "0", "q?", "a.")
+        assert hash(snippet) == hash(("d", "e", "0", "q?", "a."))
+        assert snippet[3] == snippet.title
+        with pytest.raises(AttributeError):
+            snippet.title = "other?"
 
     def test_current_turn_is_last(self):
         dialog = DialogInstance(

@@ -121,6 +121,22 @@ class TestFileVectors:
         with pytest.raises(ValueError, match="no vectors"):
             FileVectors(self.write(tmp_path, "\n"))
 
+    def test_embed_tokens_calls_the_class_embed_per_token(self, tmp_path, monkeypatch):
+        # A wrapper patched over a provider class's `embed` must see every token.
+        def counting(original):
+            def embed(provider, token):
+                calls.append(token)
+                return original(provider, token)
+
+            return embed
+
+        for provider in (HashedGaussianVectors(seed=7, dim=2), FileVectors(self.write(tmp_path, "a 1.0 2.0\n"))):
+            calls = []
+            expected = [provider.embed(t) for t in ("a", "b", "a")]
+            monkeypatch.setattr(type(provider), "embed", counting(type(provider).embed))
+            np.testing.assert_array_equal(provider.embed_tokens(["a", "b", "a"]), expected)
+            assert calls == ["a", "b", "a"]
+
     def test_describe_round_trip(self, tmp_path):
         provider = FileVectors(self.write(tmp_path, "cat 1 0\n"))
         clone = provider_from_description(provider.describe())

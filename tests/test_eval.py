@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,27 @@ class TestEvaluateSelector:
         assert ranked[0] == (SnippetRef("hotel", "1", "0"), 1.0)
         assert min(p for _, p in ranked) == 0.0
         assert evaluate_selector(model, provider7, corpus).acc_at_1 == 1.0
+
+    def test_underflowed_golden_ranked_on_scores(self, provider7):
+        # Snippet 0 repeats the question; snippet 1 shares more of it than
+        # snippets 2-7, which are stored before it. All but snippet 0 get
+        # probability exactly 0, so a probability ranking would put the
+        # golden snippet 1 last (8th) by candidate order.
+        corpus = hotel_corpus()
+        s = corpus.snippets[("hotel", "1")]
+        dialog = DialogInstance(
+            "d0000", corpus.dialogs[0].turns, True, SnippetRef("hotel", "1", "1")
+        )
+        reordered = Corpus({("hotel", "1"): [s[0], *s[2:], s[1]]}, [dialog], corpus.entity_names)
+        weights = np.zeros(11)
+        weights[-1] = 100.0
+        model = SelectorModel(default_kernel_bank(11), weights)
+        ranked = rank(model, provider7, dialog.current_turn.text, reordered.snippets[("hotel", "1")])
+        assert [p for _, p in ranked[1:]] == [0.0] * 7
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = evaluate_selector(model, provider7, reordered)
+        assert (metrics.acc_at_1, metrics.acc_at_5, metrics.mrr_at_5) == (0.0, 1.0, 0.5)
 
     def test_golden_missing_from_entity_names_dialog(self, provider7):
         broken = hotel_corpus_missing_golden()
