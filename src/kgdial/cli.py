@@ -27,13 +27,23 @@ from .detection import DetectorHyper, detect, load_detector, save_detector, trai
 from .embedding import FileVectors, HashedGaussianVectors
 from .evaluation import (
     ReportEntry,
+    _rank_instances,
+    detection_metrics,
     evaluate_detector,
     evaluate_selector,
     evaluate_tfidf,
     report,
 )
 from .pipeline import result_to_payload, run_pipeline
-from .selector import SelectorHyper, load_selector, rank, save_selector, train_selector
+from .selector import (
+    SelectorHyper,
+    _fit,
+    default_kernel_bank,
+    load_selector,
+    rank,
+    save_selector,
+    selection_instances,
+)
 
 
 def _entity(text: str) -> tuple[str, str]:
@@ -152,8 +162,9 @@ def cmd_train_detect(args) -> int:
     model, losses = train_detector(corpus, hyper)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}")
-    metrics = evaluate_detector(model, corpus)
-    mean_probability = sum(detect(model, d).probability for d in corpus.dialogs) / len(corpus.dialogs)
+    results = [detect(model, d) for d in corpus.dialogs]
+    metrics = detection_metrics([r.triggered for r in results], [d.target for d in corpus.dialogs])
+    mean_probability = sum(r.probability for r in results) / len(results)
     print(f"mean probability {mean_probability:.4f}")
     print(
         f"final F1 {metrics.f1:.4f} Precision {metrics.precision:.4f} Recall {metrics.recall:.4f}"
@@ -177,10 +188,12 @@ def cmd_train_select(args) -> int:
         n_kernels=args.kernels,
         line_search=args.line_search,
     )
-    model, losses = train_selector(corpus, provider, hyper)
+    bank = default_kernel_bank(hyper.n_kernels)
+    instances = selection_instances(corpus, provider, bank)
+    model, losses = _fit(instances, bank, hyper)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}")
-    metrics = evaluate_selector(model, provider, corpus)
+    metrics = _rank_instances(model, instances)
     print(
         f"final Acc@1 {metrics.acc_at_1:.4f} Acc@5 {metrics.acc_at_5:.4f} "
         f"MRR@5 {metrics.mrr_at_5:.4f}"

@@ -142,28 +142,39 @@ def train_detector(
     Returns the model and the loss trajectory (epochs + 1 entries, first at
     initialization). With ``line_search`` the step is halved until the loss
     does not increase. Deterministic for fixed inputs and hyperparameters.
+
+    Training never holds the dense n x (hash_dim + turn_buckets) matrix: a
+    dialog has a few dozen nonzero features out of thousands, so each row is
+    kept as its nonzero (row, column, count) entries and both mat-vecs are
+    ``np.bincount`` sums over them.
     """
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
-    matrix = np.array(
-        [
-            featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
-            for d in corpus.dialogs
-        ]
-    )
+    row_columns, row_counts = [], []
+    for d in corpus.dialogs:
+        values = featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
+        nonzero = np.flatnonzero(values)
+        row_columns.append(nonzero)
+        row_counts.append(values[nonzero])
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")
+    n, dim = len(labels), hyper.hash_dim + hyper.turn_buckets
+    rows = np.repeat(np.arange(n), [c.size for c in row_columns])
+    columns, counts = np.concatenate(row_columns), np.concatenate(row_counts)
+
+    def scores(weights):
+        return np.bincount(rows, weights=counts * weights[columns], minlength=n)
 
     def loss(weights):
-        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * (matrix @ weights)).mean())
+        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores(weights)).mean())
 
     def gradient(weights):
-        return matrix.T @ (_sigmoid_vector(matrix @ weights) - labels) / len(labels)
+        residual = _sigmoid_vector(scores(weights)) - labels
+        return np.bincount(columns, weights=counts * residual[rows], minlength=dim) / n
 
     weights, losses = _descend(
-        loss, gradient, np.zeros(hyper.hash_dim + hyper.turn_buckets),
-        hyper.lr, hyper.epochs, hyper.line_search,
+        loss, gradient, np.zeros(dim), hyper.lr, hyper.epochs, hyper.line_search,
     )
     model = DetectorModel(weights, hyper.hash_dim, hyper.turn_buckets, hyper.threshold)
     return model, losses

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .corpus import Corpus, labeled_candidates
 from .detection import DetectorModel, detect
 from .embedding import Vocabulary, build_vocabulary, tfidf_rank
-from .selector import SelectorModel, readout, selection_instances
+from .selector import SelectionInstance, SelectorModel, readout, selection_instances
 
 RANK_CUTOFF = 5
 
@@ -119,7 +119,11 @@ def evaluate_selector(model: SelectorModel, provider, corpus: Corpus) -> Selecti
     Candidates are ranked on readout scores, not on probabilities, which a
     confident model rounds into ties (down to exact 0 on underflow).
     """
-    instances = selection_instances(corpus, provider, model.kernels)
+    return _rank_instances(model, selection_instances(corpus, provider, model.kernels))
+
+
+def _rank_instances(model: SelectorModel, instances: list[SelectionInstance]) -> SelectionMetrics:
+    """Golden-rank metrics of :func:`evaluate_selector` on instances featurized already."""
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
     outcomes = [

@@ -294,7 +294,13 @@ def train_selector(
     Deterministic for fixed inputs and hyperparameters.
     """
     bank = default_kernel_bank(hyper.n_kernels)
-    instances = selection_instances(corpus, provider, bank)
+    return _fit(selection_instances(corpus, provider, bank), bank, hyper)
+
+
+def _fit(
+    instances: list[SelectionInstance], bank: KernelBank, hyper: SelectorHyper
+) -> tuple[SelectorModel, list[float]]:
+    """The descent of :func:`train_selector` on instances featurized with ``bank``."""
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to train on")
 

@@ -1,14 +1,31 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from kgdial import detection, selector
 from kgdial.cli import main
 from kgdial.corpus import load_corpus, write_corpus
 from kgdial.detection import load_detector
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.pipeline import result_to_payload, run_pipeline
 from kgdial.selector import SelectorModel, default_kernel_bank, load_selector, save_selector
+
+
+def count_calls(monkeypatch, home, name) -> list:
+    """Count calls of ``home.name`` through every kgdial module that binds it."""
+    original = getattr(home, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("kgdial") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +97,22 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "mean probability 0.5000" in out
         assert np.all(load_detector(model_path).weights == 0.0)
+
+    def test_detect_featurizes_each_dialog_once_to_train_and_once_to_score(
+        self, workdir, monkeypatch, tmp_path, capsys
+    ):
+        calls = count_calls(monkeypatch, detection, "featurize")
+        assert main(["train", "detect", *workdir["corpus_flags"],
+                     "--model", str(tmp_path / "d.json"), "--epochs", "3"]) == 0
+        assert len(calls) == 2 * 30
+        assert "mean probability" in capsys.readouterr().out
+
+    def test_select_extracts_features_once(self, workdir, monkeypatch, tmp_path, capsys):
+        calls = count_calls(monkeypatch, selector, "selection_instances")
+        assert main(["train", "select", *workdir["corpus_flags"],
+                     "--model", str(tmp_path / "s.json"), "--epochs", "3"]) == 0
+        assert len(calls) == 1
+        assert "final Acc@1" in capsys.readouterr().out
 
     def test_detect_writes_strong_model(self, workdir, capsys):
         capsys.readouterr()

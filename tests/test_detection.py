@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial.corpus import (
     Corpus,
@@ -25,6 +28,7 @@ from kgdial.detection import (
     serialize_dialog,
     train_detector,
 )
+from kgdial.embedding import tokenize
 from kgdial.evaluation import evaluate_detector
 
 from helpers import oracle_ngram_index
@@ -95,6 +99,27 @@ class TestFeaturize:
 
     def test_ngram_hash_is_stable(self):
         assert ngram_hash("parking") == oracle_ngram_index("parking", 2**64)
+
+
+class TestFeaturizeProperty:
+    @settings(deadline=None)
+    @given(
+        text=st.text(),
+        turn_count=st.integers(min_value=1, max_value=40),
+        hash_dim=st.integers(min_value=1, max_value=64),
+        turn_buckets=st.integers(min_value=1, max_value=20),
+    )
+    def test_hashed_counts_and_one_hot_bucket(self, text, turn_count, hash_dim, turn_buckets):
+        tokens = tokenize(text)
+        assert tokens != []
+        values = featurize(text, turn_count, hash_dim, turn_buckets)
+        hashed, buckets = values[:hash_dim], values[hash_dim:]
+        assert np.all(hashed >= 0.0)
+        np.testing.assert_array_equal(hashed, np.floor(hashed))
+        assert hashed.sum() == 2 * len(tokens) - 1
+        expected = np.zeros(turn_buckets)
+        expected[min(turn_count, turn_buckets) - 1] = 1.0
+        np.testing.assert_array_equal(buckets, expected)
 
 
 class TestDetectScore:
@@ -185,6 +210,60 @@ class TestTrainDetector:
     def test_loss_trajectory_length(self, small_corpus):
         _, losses = train_detector(small_corpus, DetectorHyper(epochs=7))
         assert len(losses) == 8
+
+
+def dense_reference(corpus, hyper):
+    """Straight-line trainer on the dense n x dim feature matrix: two mat-vecs per epoch."""
+    matrix = np.array([
+        featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
+        for d in corpus.dialogs
+    ])
+    labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
+
+    def loss(weights):
+        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * (matrix @ weights)).mean())
+
+    weights = np.zeros(matrix.shape[1])
+    losses = [loss(weights)]
+    for _ in range(hyper.epochs):
+        probabilities = 1.0 / (1.0 + np.exp(-(matrix @ weights)))
+        direction = matrix.T @ (probabilities - labels) / len(labels)
+        step, current = hyper.lr, losses[-1]
+        for _ in range(60 if hyper.line_search else 1):
+            trial = weights - step * direction
+            trial_loss = loss(trial)
+            if trial_loss <= current or not hyper.line_search:
+                weights, current = trial, trial_loss
+                break
+            step /= 2
+        losses.append(current)
+    return matrix, weights, losses
+
+
+class TestSparseTraining:
+    @pytest.mark.parametrize("line_search", [False, True])
+    @pytest.mark.parametrize("hash_dim,turn_buckets", [(16, 2), (4096, 16)])
+    def test_matches_dense_reference(self, small_corpus, line_search, hash_dim, turn_buckets):
+        hyper = DetectorHyper(hash_dim=hash_dim, turn_buckets=turn_buckets, lr=2.0,
+                              epochs=30, line_search=line_search)
+        matrix, weights, losses = dense_reference(small_corpus, hyper)
+        if hash_dim == 16:
+            assert matrix[:, :hash_dim].max() >= 2.0  # colliding n-grams share a column
+            assert max(len(d.turns) for d in small_corpus.dialogs) > turn_buckets
+        model, trained_losses = train_detector(small_corpus, hyper)
+        np.testing.assert_allclose(model.weights, weights, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(trained_losses, losses, rtol=0.0, atol=1e-12)
+
+    def test_peak_memory_stays_below_the_dense_matrix(self):
+        corpus = synth_corpus(5, SynthParams(n_dialogs=1000))
+        tracemalloc.start()
+        try:
+            train_detector(corpus, DetectorHyper(epochs=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The dense 1000 x 4112 float64 matrix alone is 33 MB.
+        assert peak < 8 * 2**20
 
 
 class TestDetect:
