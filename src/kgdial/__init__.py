@@ -7,134 +7,4 @@ serialize the result for a downstream response generator. Ships corpus
 loading and synthesis, a TF-IDF baseline, evaluation metrics, and a CLI.
 """
 
-from .corpus import (
-    Corpus,
-    CorpusError,
-    DialogInstance,
-    DialogTurn,
-    KnowledgeSnippet,
-    Speaker,
-    SnippetRef,
-    SynthParams,
-    candidate_set,
-    load_corpus,
-    synth_corpus,
-    write_corpus,
-)
-from .detection import (
-    DetectionResult,
-    DetectorHyper,
-    DetectorModel,
-    detect,
-    detect_score,
-    featurize,
-    load_detector,
-    save_detector,
-    serialize_dialog,
-    train_detector,
-)
-from .embedding import (
-    FileVectors,
-    HashedGaussianVectors,
-    PairEmbedding,
-    Vocabulary,
-    build_vocabulary,
-    embed_pair,
-    tfidf_rank,
-    tokenize,
-)
-from .evaluation import (
-    DetectionMetrics,
-    ReportEntry,
-    SelectionMetrics,
-    detection_metrics,
-    evaluate_detector,
-    evaluate_selector,
-    evaluate_tfidf,
-    f1_score,
-    report,
-    selection_metrics,
-)
-from .pipeline import PipelineResult, format_generation_input, run_pipeline
-from .selector import (
-    KernelBank,
-    SelectionDistribution,
-    SelectorHyper,
-    SelectorModel,
-    cross_node_attention,
-    default_kernel_bank,
-    kernel_features,
-    load_selector,
-    loss_gradient,
-    node_features,
-    rank,
-    readout,
-    save_selector,
-    selection_loss,
-    train_selector,
-    translation_matrix,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Corpus",
-    "CorpusError",
-    "DetectionMetrics",
-    "DetectionResult",
-    "DetectorHyper",
-    "DetectorModel",
-    "DialogInstance",
-    "DialogTurn",
-    "FileVectors",
-    "HashedGaussianVectors",
-    "KernelBank",
-    "KnowledgeSnippet",
-    "PairEmbedding",
-    "PipelineResult",
-    "ReportEntry",
-    "SelectionDistribution",
-    "SelectionMetrics",
-    "SelectorHyper",
-    "SelectorModel",
-    "SnippetRef",
-    "Speaker",
-    "SynthParams",
-    "Vocabulary",
-    "build_vocabulary",
-    "candidate_set",
-    "cross_node_attention",
-    "default_kernel_bank",
-    "detect",
-    "detect_score",
-    "detection_metrics",
-    "embed_pair",
-    "evaluate_detector",
-    "evaluate_selector",
-    "evaluate_tfidf",
-    "f1_score",
-    "featurize",
-    "format_generation_input",
-    "kernel_features",
-    "load_corpus",
-    "load_detector",
-    "load_selector",
-    "loss_gradient",
-    "node_features",
-    "rank",
-    "readout",
-    "report",
-    "run_pipeline",
-    "save_detector",
-    "save_selector",
-    "selection_loss",
-    "selection_metrics",
-    "serialize_dialog",
-    "synth_corpus",
-    "tfidf_rank",
-    "tokenize",
-    "train_detector",
-    "train_selector",
-    "translation_matrix",
-    "write_corpus",
-]

@@ -16,6 +16,7 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
+    OVERLAP_MODES,
     SynthParams,
     candidate_set,
     load_corpus,
@@ -73,11 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=42)
-    synth.add_argument("--dialogs", type=int, default=200)
-    synth.add_argument("--candidates", type=int, default=8)
-    synth.add_argument("--vocab-size", type=int, default=64)
-    synth.add_argument("--overlap-mode", choices=["token-overlap", "paraphrase"], default="token-overlap")
-    synth.add_argument("--marker-rate", type=float, default=0.5)
+    synth.add_argument("--dialogs", type=int, default=SynthParams.n_dialogs)
+    synth.add_argument("--candidates", type=int, default=SynthParams.n_candidates)
+    synth.add_argument("--vocab-size", type=int, default=SynthParams.vocab_size)
+    synth.add_argument("--overlap-mode", choices=OVERLAP_MODES, default=SynthParams.overlap_mode)
+    synth.add_argument("--marker-rate", type=float, default=SynthParams.detect_marker_rate)
 
     train = commands.add_parser("train", help="train a detector or selector")
     train_kind = train.add_subparsers(dest="kind", required=True)
@@ -85,19 +86,19 @@ def build_parser() -> argparse.ArgumentParser:
     detect_p = train_kind.add_parser("detect", help="train the turn detector")
     _add_corpus_flags(detect_p, labels_required=True)
     detect_p.add_argument("--model", required=True, help="output model JSON file")
-    detect_p.add_argument("--lr", type=float, default=0.1)
-    detect_p.add_argument("--epochs", type=int, default=100)
-    detect_p.add_argument("--hash-dim", type=int, default=4096)
-    detect_p.add_argument("--turn-buckets", type=int, default=16)
-    detect_p.add_argument("--threshold", type=float, default=0.5)
+    detect_p.add_argument("--lr", type=float, default=DetectorHyper.lr)
+    detect_p.add_argument("--epochs", type=int, default=DetectorHyper.epochs)
+    detect_p.add_argument("--hash-dim", type=int, default=DetectorHyper.hash_dim)
+    detect_p.add_argument("--turn-buckets", type=int, default=DetectorHyper.turn_buckets)
+    detect_p.add_argument("--threshold", type=float, default=DetectorHyper.threshold)
     detect_p.add_argument("--line-search", action="store_true")
 
     select_p = train_kind.add_parser("select", help="train the knowledge selector")
     _add_corpus_flags(select_p, labels_required=True)
     select_p.add_argument("--model", required=True, help="output model JSON file")
-    select_p.add_argument("--lr", type=float, default=0.5)
-    select_p.add_argument("--epochs", type=int, default=200)
-    select_p.add_argument("--kernels", type=int, default=11)
+    select_p.add_argument("--lr", type=float, default=SelectorHyper.lr)
+    select_p.add_argument("--epochs", type=int, default=SelectorHyper.epochs)
+    select_p.add_argument("--kernels", type=int, default=SelectorHyper.n_kernels)
     select_p.add_argument("--attention", action="store_true")
     select_p.add_argument("--line-search", action="store_true")
     select_p.add_argument("--embed-seed", type=int, default=7)
@@ -150,7 +151,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_detect(args) -> int:
-    corpus = load_corpus(args.knowledge, args.logs, args.labels)
     hyper = DetectorHyper(
         hash_dim=args.hash_dim,
         turn_buckets=args.turn_buckets,
@@ -159,6 +159,7 @@ def cmd_train_detect(args) -> int:
         threshold=args.threshold,
         line_search=args.line_search,
     )
+    corpus = load_corpus(args.knowledge, args.logs, args.labels)
     model, losses = train_detector(corpus, hyper)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}")
@@ -175,12 +176,6 @@ def cmd_train_detect(args) -> int:
 
 
 def cmd_train_select(args) -> int:
-    corpus = load_corpus(args.knowledge, args.logs, args.labels)
-    provider = (
-        FileVectors(args.vectors)
-        if args.vectors
-        else HashedGaussianVectors(args.embed_seed, args.embed_dim)
-    )
     hyper = SelectorHyper(
         lr=args.lr,
         epochs=args.epochs,
@@ -189,6 +184,12 @@ def cmd_train_select(args) -> int:
         line_search=args.line_search,
     )
     bank = default_kernel_bank(hyper.n_kernels)
+    corpus = load_corpus(args.knowledge, args.logs, args.labels)
+    provider = (
+        FileVectors(args.vectors)
+        if args.vectors
+        else HashedGaussianVectors(args.embed_seed, args.embed_dim)
+    )
     instances = selection_instances(corpus, provider, bank)
     model, losses = _fit(instances, bank, hyper)
     for epoch, loss in enumerate(losses):

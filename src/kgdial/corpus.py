@@ -118,10 +118,6 @@ class Corpus:
                 return snippet
         return None
 
-    @property
-    def n_snippets(self) -> int:
-        return sum(len(docs) for docs in self.snippets.values())
-
 
 def _dialog_id(index: int) -> str:
     return f"d{index:04d}"

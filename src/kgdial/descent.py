@@ -1,7 +1,20 @@
 """Full-batch gradient descent shared by the detector and selector trainers."""
 
+import math
+
 # Step halvings tried per epoch before the line search keeps the weights.
 MAX_HALVINGS = 60
+
+
+def check_schedule(lr: float, epochs: int) -> None:
+    """Reject a descent schedule: ``epochs`` below 0, or ``lr`` negative or not finite.
+
+    ``lr`` = 0 is allowed: the weights then stay at their initialization.
+    """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
 
 
 def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Corpus, DialogInstance, Speaker
-from .descent import _descend
+from .descent import _descend, check_schedule
 from .embedding import tokenize
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
@@ -66,6 +66,16 @@ def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int
     return values
 
 
+def check_detector_shape(hash_dim: int, turn_buckets: int, threshold: float) -> None:
+    """Reject a detector with ``hash_dim`` < 16, ``turn_buckets`` < 1 or ``threshold`` outside (0, 1)."""
+    if hash_dim < 16:
+        raise ValueError(f"hash_dim must be >= 16, got {hash_dim}")
+    if turn_buckets < 1:
+        raise ValueError(f"turn_buckets must be >= 1, got {turn_buckets}")
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Bias-free sigmoid linear scorer over hashed dialog features."""
@@ -78,12 +88,7 @@ class DetectorModel:
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", weights)
-        if self.hash_dim < 16:
-            raise ValueError(f"hash_dim must be >= 16, got {self.hash_dim}")
-        if self.turn_buckets < 1:
-            raise ValueError(f"turn_buckets must be >= 1, got {self.turn_buckets}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
+        check_detector_shape(self.hash_dim, self.turn_buckets, self.threshold)
         if weights.shape != (self.hash_dim + self.turn_buckets,):
             raise ValueError(
                 f"weights must have length hash_dim + turn_buckets = "
@@ -131,6 +136,10 @@ class DetectorHyper:
     epochs: int = 100
     threshold: float = 0.5
     line_search: bool = False
+
+    def __post_init__(self):
+        check_detector_shape(self.hash_dim, self.turn_buckets, self.threshold)
+        check_schedule(self.lr, self.epochs)
 
 
 def train_detector(

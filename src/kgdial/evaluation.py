@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .corpus import Corpus, labeled_candidates
 from .detection import DetectorModel, detect
-from .embedding import Vocabulary, build_vocabulary, tfidf_rank
+from .embedding import build_vocabulary, tfidf_rank
 from .selector import SelectionInstance, SelectorModel, readout, selection_instances
 
 RANK_CUTOFF = 5
@@ -134,10 +134,9 @@ def _rank_instances(model: SelectorModel, instances: list[SelectionInstance]) ->
     return selection_metrics([p for p, _ in outcomes])
 
 
-def evaluate_tfidf(corpus: Corpus, vocab: Vocabulary | None = None) -> SelectionMetrics:
+def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
     """Golden-rank metrics for the TF-IDF baseline over the same dialogs."""
-    if vocab is None:
-        vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus)
     positions = []
     ties = 0
     for dialog, candidates, golden_index in labeled_candidates(corpus):

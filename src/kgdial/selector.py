@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, KnowledgeSnippet, SnippetRef, labeled_candidates
-from .descent import _descend
+from .descent import _descend, check_schedule
 from .embedding import PairEmbedding, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
@@ -280,6 +280,9 @@ class SelectorHyper:
     attention_flag: bool = False
     n_kernels: int = 11
     line_search: bool = False
+
+    def __post_init__(self):
+        check_schedule(self.lr, self.epochs)
 
 
 def train_selector(

@@ -1,16 +1,10 @@
 import pytest
 
-from kgdial import (
-    DetectorHyper,
-    HashedGaussianVectors,
-    SelectorHyper,
-    SynthParams,
-    default_kernel_bank,
-    synth_corpus,
-    train_detector,
-    train_selector,
-)
+from kgdial.corpus import SynthParams, synth_corpus
+from kgdial.detection import DetectorHyper, train_detector
+from kgdial.embedding import HashedGaussianVectors
 from kgdial.fixtures import hotel_corpus
+from kgdial.selector import SelectorHyper, default_kernel_bank, train_selector
 
 
 @pytest.fixture(scope="session")

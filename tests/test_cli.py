@@ -1,16 +1,26 @@
+import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kgdial import detection, selector
-from kgdial.cli import main
-from kgdial.corpus import load_corpus, write_corpus
-from kgdial.detection import load_detector
+from kgdial import cli, detection, selector
+from kgdial.cli import build_parser, main
+from kgdial.corpus import SynthParams, load_corpus, write_corpus
+from kgdial.detection import DetectorHyper, load_detector
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.pipeline import result_to_payload, run_pipeline
-from kgdial.selector import SelectorModel, default_kernel_bank, load_selector, save_selector
+from kgdial.selector import (
+    SelectorHyper,
+    SelectorModel,
+    default_kernel_bank,
+    load_selector,
+    save_selector,
+)
 
 
 def count_calls(monkeypatch, home, name) -> list:
@@ -306,3 +316,60 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
+
+
+def missing_corpus_flags(tmp_path) -> list[str]:
+    missing = str(tmp_path / "missing.json")
+    return ["--knowledge", missing, "--logs", missing, "--labels", missing]
+
+
+class TestHyperparameterChecks:
+    """Bad hyperparameters fail before any input file is read and write no model."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["detect", "--epochs", "-5", "--lr", "-3"], "epochs must be >= 0, got -5"),
+        (["detect", "--lr", "-3"], "lr must be finite and >= 0, got -3.0"),
+        (["detect", "--hash-dim", "8"], "hash_dim must be >= 16, got 8"),
+        (["detect", "--turn-buckets", "0"], "turn_buckets must be >= 1, got 0"),
+        (["detect", "--threshold", "1.5"], "threshold must lie in (0, 1), got 1.5"),
+        (["detect", "--threshold", "0"], "threshold must lie in (0, 1), got 0.0"),
+        (["select", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+        (["select", "--lr", "nan", "--epochs", "3"], "lr must be finite and >= 0, got nan"),
+        (["select", "--kernels", "1"], "n_kernels must be >= 2, got 1"),
+    ])
+    def test_rejected_before_reading_input(self, tmp_path, capsys, argv, message):
+        model = tmp_path / "model.json"
+        rc = main(["train", *argv, *missing_corpus_flags(tmp_path), "--model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
+    def test_process_exits_with_status_1(self, tmp_path):
+        model = tmp_path / "model.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgdial.cli", "train", "detect", "--epochs", "-5",
+             *missing_corpus_flags(tmp_path), "--model", str(model)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: epochs must be >= 0, got -5\n"
+        assert not model.exists()
+
+
+class TestParserDefaults:
+    @pytest.mark.parametrize("argv, hyper, flag_names", [
+        (["synth", "--out", "out"], SynthParams,
+         {"n_dialogs": "dialogs", "n_candidates": "candidates", "detect_marker_rate": "marker_rate"}),
+        (["train", "detect", "--knowledge", "k", "--logs", "l", "--labels", "b", "--model", "m"],
+         DetectorHyper, {}),
+        (["train", "select", "--knowledge", "k", "--logs", "l", "--labels", "b", "--model", "m"],
+         SelectorHyper, {"attention_flag": "attention", "n_kernels": "kernels"}),
+    ])
+    def test_every_hyperparameter_defaults_to_its_field(self, argv, hyper, flag_names):
+        args = build_parser().parse_args(argv)
+        for field in dataclasses.fields(hyper):
+            value = getattr(args, flag_names.get(field.name, field.name))
+            assert (value, type(value)) == (field.default, type(field.default)), field.name

@@ -59,7 +59,7 @@ class TestLoadCorpus:
         paths = write_files(tmp_path, two_snippet_knowledge(), [])
         corpus = load_corpus(*paths)
         assert corpus.dialogs == []
-        assert corpus.n_snippets == 2
+        assert sum(len(docs) for docs in corpus.snippets.values()) == 2
 
     def test_dangling_golden_reference_names_dialog(self, tmp_path):
         logs = [[{"speaker": "U", "text": "any parking?"}]]

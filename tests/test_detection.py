@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgdial import detection
 from kgdial.corpus import (
     Corpus,
     DialogInstance,
@@ -170,6 +171,38 @@ class TestDetectorModel:
             DetectorModel(np.zeros(17), 16, 2)
         with pytest.raises(ValueError, match="finite"):
             DetectorModel(np.full(18, np.inf), 16, 2)
+
+
+BAD_DETECTOR_HYPERS = [
+    ({"hash_dim": 8}, "hash_dim must be >= 16"),
+    ({"turn_buckets": 0}, "turn_buckets must be >= 1"),
+    ({"threshold": 1.5}, "threshold must lie in"),
+    ({"threshold": 0.0}, "threshold must lie in"),
+    ({"epochs": -5}, "epochs must be >= 0"),
+    ({"lr": -3.0}, "lr must be finite and >= 0"),
+    ({"lr": math.nan}, "lr must be finite and >= 0"),
+    ({"lr": math.inf}, "lr must be finite and >= 0"),
+]
+
+
+class TestDetectorHyper:
+    @pytest.mark.parametrize("kwargs, message", BAD_DETECTOR_HYPERS)
+    def test_bad_value_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            DetectorHyper(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"hash_dim": 8}, {"threshold": 1.5}, {"threshold": 0.0}])
+    def test_bad_shape_featurizes_nothing(self, small_corpus, monkeypatch, kwargs):
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return featurize(*args)
+
+        monkeypatch.setattr(detection, "featurize", counting)
+        with pytest.raises(ValueError):
+            train_detector(small_corpus, DetectorHyper(**kwargs))
+        assert calls == []
 
 
 class TestTrainDetector:

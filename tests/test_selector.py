@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial.corpus import Corpus, KnowledgeSnippet, SynthParams, synth_corpus
 from kgdial.embedding import FileVectors, HashedGaussianVectors, embed_pair
@@ -337,6 +339,18 @@ class TestTrainSelector:
         assert all(math.isfinite(loss) for loss in losses)
 
 
+class TestSelectorHyper:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"lr": -0.5}, "lr must be finite and >= 0"),
+        ({"lr": math.nan}, "lr must be finite and >= 0"),
+        ({"lr": -math.inf}, "lr must be finite and >= 0"),
+    ])
+    def test_bad_schedule_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SelectorHyper(**kwargs)
+
+
 class TestBatchCore:
     def test_padded_batch_matches_per_instance_loop(self, bank11):
         rng = np.random.default_rng(21)
@@ -458,6 +472,64 @@ class TestScaleInvariance:
                 node_features("w0 v2", candidates, scaled, bank11), model
             ).probabilities
             np.testing.assert_allclose(probabilities, reference, atol=1e-9)
+
+
+# A small alphabet, so that questions and snippets share tokens.
+texts = st.lists(st.sampled_from(["room", "wifi", "free", "park", "pool", "pet"]), min_size=1,
+                 max_size=6).map(" ".join)
+
+
+@st.composite
+def questions_and_candidates(draw):
+    """A question, 1-12 snippets and a permutation of the snippets."""
+    candidates = [snippet(str(i), draw(texts), draw(texts)) for i in range(draw(st.integers(1, 12)))]
+    return draw(texts), candidates, draw(st.permutations(candidates))
+
+
+def weight_vectors(bound):
+    return st.lists(st.floats(-bound, bound), min_size=11, max_size=11).map(np.array)
+
+
+@pytest.mark.parametrize("attention", [False, True])
+class TestInvarianceProperties:
+    @settings(deadline=None, max_examples=30)
+    @given(case=questions_and_candidates(), weights=weight_vectors(3.0))
+    def test_candidate_order(self, provider7, bank11, attention, case, weights):
+        question, candidates, shuffled = case
+        model = SelectorModel(bank11, weights, attention)
+        base = dict(rank(model, provider7, question, candidates))
+        permuted = dict(rank(model, provider7, question, shuffled))
+        assert permuted.keys() == base.keys()
+        for ref, probability in base.items():
+            assert abs(permuted[ref] - probability) <= 1e-12
+
+    @settings(deadline=None, max_examples=30)
+    @given(case=questions_and_candidates(), factor=st.floats(1e-3, 1e3))
+    def test_embedding_scale(self, provider7, bank11, attention, case, factor):
+        question, candidates, _ = case
+        reference = node_features(question, candidates, provider7, bank11)
+        scaled = node_features(question, candidates, ScaledProvider(provider7, factor), bank11)
+        np.testing.assert_allclose(scaled, reference, rtol=0, atol=1e-9)
+        model = SelectorModel(bank11, np.linspace(-1.0, 1.0, 11), attention)
+        np.testing.assert_allclose(
+            readout(scaled, model).probabilities, readout(reference, model).probabilities,
+            rtol=0, atol=1e-9,
+        )
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        features=st.integers(1, 12).flatmap(
+            lambda l: st.lists(st.lists(st.floats(-25.0, 5.0), min_size=11, max_size=11),
+                               min_size=l, max_size=l)
+        ),
+        weights=weight_vectors(1e3),
+    )
+    def test_readout_normalization(self, bank11, attention, features, weights):
+        model = SelectorModel(bank11, weights, attention)
+        probabilities = readout(np.array(features), model).probabilities
+        assert np.all(np.isfinite(probabilities))
+        assert np.all(probabilities >= 0.0)
+        assert abs(probabilities.sum() - 1.0) <= 1e-9
 
 
 class TestSelectorModelValidation:
