@@ -16,7 +16,6 @@ from pathlib import Path
 from .corpus import (
     Corpus,
     CorpusError,
-    OVERLAP_MODES,
     SynthParams,
     candidate_set,
     load_corpus,
@@ -77,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--dialogs", type=int, default=SynthParams.n_dialogs)
     synth.add_argument("--candidates", type=int, default=SynthParams.n_candidates)
     synth.add_argument("--vocab-size", type=int, default=SynthParams.vocab_size)
-    synth.add_argument("--overlap-mode", choices=OVERLAP_MODES, default=SynthParams.overlap_mode)
     synth.add_argument("--marker-rate", type=float, default=SynthParams.detect_marker_rate)
 
     train = commands.add_parser("train", help="train a detector or selector")
@@ -137,7 +135,6 @@ def cmd_synth(args) -> int:
         n_dialogs=args.dialogs,
         n_candidates=args.candidates,
         vocab_size=args.vocab_size,
-        overlap_mode=args.overlap_mode,
         detect_marker_rate=args.marker_rate,
     )
     corpus = synth_corpus(args.seed, params)

@@ -30,8 +30,6 @@ import numpy as np
 # Token that marks a synthetic dialog as chit-chat (not knowledge-seeking).
 MARKER_TOKEN = "chitchat"
 
-OVERLAP_MODES = ("token-overlap", "paraphrase")
-
 
 class CorpusError(ValueError):
     """Raised for malformed corpus files or unresolvable references."""
@@ -357,8 +355,10 @@ def write_corpus(corpus: Corpus, knowledge_path, logs_path, labels_path=None) ->
 
 @dataclass(frozen=True)
 class SynthParams:
-    """Parameters of the synthetic corpus generator.
+    """Parameters of the synthetic corpus generator (see :func:`synth_corpus`).
 
+    Each of the ``n_dialogs`` dialogs gets one entity with ``n_candidates``
+    documents of four tokens drawn from ``vocab_size`` tokens.
     ``detect_marker_rate`` is the fraction of dialogs generated as chit-chat
     (marked with :data:`MARKER_TOKEN` and not knowledge-seeking).
     """
@@ -366,7 +366,6 @@ class SynthParams:
     n_dialogs: int = 200
     n_candidates: int = 8
     vocab_size: int = 64
-    overlap_mode: str = "token-overlap"
     detect_marker_rate: float = 0.5
 
     def __post_init__(self):
@@ -378,15 +377,8 @@ class SynthParams:
             raise ValueError(
                 f"vocab_size must be >= 4 * n_candidates = {4 * self.n_candidates}, got {self.vocab_size}"
             )
-        if self.overlap_mode not in OVERLAP_MODES:
-            raise ValueError(f"overlap_mode must be one of {OVERLAP_MODES}, got {self.overlap_mode!r}")
         if not 0.0 <= self.detect_marker_rate <= 1.0:
             raise ValueError(f"detect_marker_rate must be in [0, 1], got {self.detect_marker_rate}")
-
-
-def synonym_token(token: str) -> str:
-    """Paraphrase-mode surface form of a synthetic vocabulary token."""
-    return "y" + token[1:]
 
 
 def synth_corpus(seed: int, params: SynthParams) -> Corpus:
@@ -394,10 +386,11 @@ def synth_corpus(seed: int, params: SynthParams) -> Corpus:
 
     Every dialog owns one entity with ``n_candidates`` documents whose content
     tokens are mutually disjoint. Knowledge-seeking dialogs end in a question
-    sharing at least two of the golden document's tokens (their synonym-mapped
-    forms in paraphrase mode); filler question tokens are drawn outside the
-    candidate pools, so distractors share no token with the question. Chit-chat
-    dialogs carry the marker token instead and get no golden label.
+    that repeats two or three of the golden document's tokens verbatim; filler
+    question tokens are drawn outside the candidate pools, so distractors share
+    no token with the question and lexical matching alone finds the golden
+    document. Chit-chat dialogs carry the marker token instead and get no
+    golden label.
     """
     rng = np.random.default_rng(seed)
     width = max(2, len(str(params.vocab_size - 1)))
@@ -437,8 +430,6 @@ def synth_corpus(seed: int, params: SynthParams) -> Corpus:
                 candidate_tokens[golden_idx][int(j)]
                 for j in rng.choice(4, size=n_golden_tokens, replace=False)
             ]
-            if params.overlap_mode == "paraphrase":
-                picked = [synonym_token(t) for t in picked]
             n_filler = min(int(rng.integers(0, 3)), len(filler_pool))
             filler = (
                 [filler_pool[int(j)] for j in rng.choice(len(filler_pool), size=n_filler, replace=False)]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, DialogInstance, Speaker
+from .corpus import Corpus, DialogInstance, Speaker, _read_json
 from .descent import _descend, check_schedule
 from .embedding import tokenize
 
@@ -83,7 +83,7 @@ class DetectorModel:
     weights: np.ndarray
     hash_dim: int
     turn_buckets: int
-    threshold: float = 0.5
+    threshold: float
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -201,14 +201,24 @@ def save_detector(model: DetectorModel, path) -> None:
 
 
 def load_detector(path) -> DetectorModel:
-    """Read a model file written by :func:`save_detector`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model file written by :func:`save_detector`.
+
+    A malformed file raises ValueError with a message that starts with ``path``.
+    """
+    payload = _read_json(path)
     try:
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        for key in ("hash_dim", "turn_buckets"):
+            if type(payload[key]) is not int:
+                raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
         return DetectorModel(
             np.array(payload["weights"], dtype=float),
-            int(payload["hash_dim"]),
-            int(payload["turn_buckets"]),
+            payload["hash_dim"],
+            payload["turn_buckets"],
             float(payload["threshold"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

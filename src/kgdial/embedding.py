@@ -235,21 +235,16 @@ def _tfidf_weights(tokens: list[str], vocab: Vocabulary) -> dict[str, float]:
 
 
 def tfidf_rank(
-    corpus: Corpus,
-    question: str,
-    candidates: list[KnowledgeSnippet],
-    vocab: Vocabulary | None = None,
+    vocab: Vocabulary, question: str, candidates: list[KnowledgeSnippet]
 ) -> list[tuple[KnowledgeSnippet, float]]:
     """Rank candidates by TF-IDF cosine against the question, descending.
 
     Term frequency is the raw count; idf = ln((1+N)/(1+df)) + 1 with N the
-    corpus snippet count. Question tokens outside the snippet vocabulary are
+    vocabulary's snippet count. Question tokens outside the vocabulary are
     dropped. Ties keep candidate-index order. Scores lie in [0, 1].
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
-    if vocab is None:
-        vocab = build_vocabulary(corpus)
     q_weights = _tfidf_weights(tokenize(question), vocab)
     q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
 

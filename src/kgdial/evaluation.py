@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .corpus import Corpus, labeled_candidates
 from .detection import DetectorModel, detect
@@ -140,7 +140,7 @@ def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
     positions = []
     ties = 0
     for dialog, candidates, golden_index in labeled_candidates(corpus):
-        ranked = tfidf_rank(corpus, dialog.current_turn.text, candidates, vocab)
+        ranked = tfidf_rank(vocab, dialog.current_turn.text, candidates)
         scores = {snippet.doc_id: score for snippet, score in ranked}
         ordered_scores = [scores[c.doc_id] for c in candidates]
         position, instance_ties = _golden_position(ordered_scores, golden_index)
@@ -170,27 +170,6 @@ class ReportEntry:
     selection: SelectionMetrics | None = None
 
 
-def _entry_payload(entry: ReportEntry) -> dict:
-    payload: dict = {"model": entry.model, "detection": None, "selection": None}
-    if entry.detection is not None:
-        d = entry.detection
-        payload["detection"] = {
-            "precision": d.precision,
-            "recall": d.recall,
-            "f1": d.f1,
-            "counts": d.counts,
-        }
-    if entry.selection is not None:
-        s = entry.selection
-        payload["selection"] = {
-            "acc_at_1": s.acc_at_1,
-            "acc_at_5": s.acc_at_5,
-            "mrr_at_5": s.mrr_at_5,
-            "n_instances": s.n_instances,
-        }
-    return payload
-
-
 def report(entries: list[ReportEntry], fmt: str = "json", stamp: str | None = None) -> str:
     """Render entries as a JSON document or a pair of markdown tables.
 
@@ -198,7 +177,7 @@ def report(entries: list[ReportEntry], fmt: str = "json", stamp: str | None = No
     given.
     """
     if fmt == "json":
-        payload: object = [_entry_payload(e) for e in entries]
+        payload: object = [asdict(e) for e in entries]
         if stamp is not None:
             payload = {"stamp": stamp, "results": payload}
         return json.dumps(payload, indent=2) + "\n"

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, SnippetRef, labeled_candidates
+from .corpus import Corpus, KnowledgeSnippet, SnippetRef, _read_json, labeled_candidates
 from .descent import _descend, check_schedule
 from .embedding import PairEmbedding, embed_pair, provider_from_description
 
@@ -65,11 +65,11 @@ class KernelBank:
         return self.mus.size
 
 
-def default_kernel_bank(n_kernels: int = 11) -> KernelBank:
+def default_kernel_bank(n_kernels: int) -> KernelBank:
     """n_kernels - 1 evenly spaced soft kernels (sigma 0.1) plus the exact-match kernel.
 
     Soft centers are the midpoints of an even partition of [-1, 1]; for the
-    default 11 kernels they are -0.9, -0.7, ..., 0.9.
+    11 kernels they are -0.9, -0.7, ..., 0.9.
     """
     if n_kernels < 2:
         raise ValueError(f"n_kernels must be >= 2, got {n_kernels}")
@@ -347,14 +347,23 @@ def save_selector(model: SelectorModel, provider, path) -> None:
 
 
 def load_selector(path) -> tuple[SelectorModel, object]:
-    """Read a model file written by :func:`save_selector`; returns (model, provider)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a model file written by :func:`save_selector`; returns (model, provider).
+
+    A malformed file raises ValueError with a message that starts with ``path``.
+    """
+    payload = _read_json(path)
     try:
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
+        if not isinstance(payload["attention_flag"], bool):
+            raise ValueError(f"'attention_flag' must be true or false, got {payload['attention_flag']!r}")
+        if not isinstance(payload["provider"], dict):
+            raise ValueError(f"'provider' must be an object, got {payload['provider']!r}")
         bank = KernelBank(np.array(payload["mus"]), np.array(payload["sigmas"]))
-        model = SelectorModel(
-            bank, np.array(payload["readout_weights"]), bool(payload["attention_flag"])
-        )
+        model = SelectorModel(bank, np.array(payload["readout_weights"]), payload["attention_flag"])
         provider = provider_from_description(payload["provider"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, provider

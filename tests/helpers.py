@@ -1,4 +1,4 @@
-"""Independent straight-line oracles and tiny providers used across tests.
+"""Independent straight-line oracles, tiny providers and file edits used across tests.
 
 Everything here is deliberately unvectorized and written separately from the
 package so it can serve as a reference implementation.
@@ -7,6 +7,7 @@ package so it can serve as a reference implementation.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -130,3 +131,18 @@ def finite_difference_gradient(loss_of_weights, weights: np.ndarray, h: float = 
         lower[k] -= h
         gradient[k] = (loss_of_weights(upper) - loss_of_weights(lower)) / (2.0 * h)
     return gradient
+
+
+def with_field(key, value):
+    """Edit of a JSON object's text that sets ``key`` to ``value``."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def as_array(text: str) -> str:
+    """Wrap a JSON document in a one-element array."""
+    return json.dumps([json.loads(text)])
+
+
+def truncated(text: str) -> str:
+    """The first half of a file, as a write cut short leaves it."""
+    return text[: len(text) // 2]

@@ -22,6 +22,8 @@ from kgdial.selector import (
     save_selector,
 )
 
+from helpers import as_array, truncated, with_field
+
 
 def count_calls(monkeypatch, home, name) -> list:
     """Count calls of ``home.name`` through every kgdial module that binds it."""
@@ -315,6 +317,29 @@ class TestErrorHandling:
                      "--model", "/nonexistent/m.json"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("kind, edit", [
+        pytest.param("selector", with_field("attention_flag", "false"), id="selector-string-flag"),
+        pytest.param("selector", as_array, id="selector-array"),
+        pytest.param("selector", with_field("provider", "x"), id="selector-provider"),
+        pytest.param("selector", truncated, id="selector-truncated"),
+        pytest.param("detector", as_array, id="detector-array"),
+        pytest.param("detector", with_field("hash_dim", None), id="detector-null"),
+        pytest.param("detector", with_field("hash_dim", 4096.7), id="detector-fraction"),
+        pytest.param("detector", truncated, id="detector-truncated"),
+    ])
+    def test_malformed_model_file_names_its_path(self, workdir, tmp_path, capsys, kind, edit):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(edit(Path(workdir[kind]).read_text()))
+        if kind == "selector":
+            argv = ["rank", "--knowledge", workdir["knowledge"], "--model", str(path),
+                    "--question", "w01 w02?", "--entity", "synth/e0000"]
+        else:
+            argv = ["eval", *workdir["corpus_flags"], "--detector", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
         assert len(err.strip().splitlines()) == 1
 
 

@@ -17,7 +17,6 @@ from kgdial.corpus import (
     candidate_set,
     load_corpus,
     synth_corpus,
-    synonym_token,
     write_corpus,
 )
 from kgdial.embedding import tokenize
@@ -244,21 +243,6 @@ class TestSynthCorpus:
                 else:
                     assert overlap < 2
 
-    def test_paraphrase_mode_maps_synonyms(self):
-        params = SynthParams(n_dialogs=60, n_candidates=4, vocab_size=32, overlap_mode="paraphrase")
-        corpus = synth_corpus(11, params)
-        saw_target = False
-        for dialog in corpus.dialogs:
-            if not dialog.target:
-                continue
-            saw_target = True
-            query = set(tokenize(dialog.current_turn.text))
-            golden = corpus.find_snippet(dialog.golden)
-            synonyms = {synonym_token(t) for t in tokenize(golden.text)}
-            assert len(query & synonyms) >= 2
-            assert len(query & set(tokenize(golden.text))) < 2
-        assert saw_target
-
     def test_marker_token_separates_classes(self):
         corpus = synth_corpus(7, SynthParams(n_dialogs=80, n_candidates=4, vocab_size=32))
         for dialog in corpus.dialogs:
@@ -276,8 +260,6 @@ class TestSynthCorpus:
             SynthParams(n_candidates=1)
         with pytest.raises(ValueError, match="vocab_size"):
             SynthParams(n_candidates=8, vocab_size=31)
-        with pytest.raises(ValueError, match="overlap_mode"):
-            SynthParams(overlap_mode="fuzzy")
         with pytest.raises(ValueError, match="detect_marker_rate"):
             SynthParams(detect_marker_rate=1.5)
         with pytest.raises(ValueError, match="n_dialogs"):

@@ -32,7 +32,7 @@ from kgdial.detection import (
 from kgdial.embedding import tokenize
 from kgdial.evaluation import evaluate_detector
 
-from helpers import oracle_ngram_index
+from helpers import as_array, oracle_ngram_index, truncated, with_field
 
 
 def dialog(*turns):
@@ -125,13 +125,13 @@ class TestFeaturizeProperty:
 
 class TestDetectScore:
     def test_zero_weights_give_half(self):
-        model = DetectorModel(np.zeros(18), 16, 2)
+        model = DetectorModel(np.zeros(18), 16, 2, 0.5)
         assert detect_score(model, np.ones(18)) == 0.5
 
     def test_unit_coordinate_gives_sigmoid_one(self):
         weights = np.zeros(18)
         weights[0] = 1.0
-        model = DetectorModel(weights, 16, 2)
+        model = DetectorModel(weights, 16, 2, 0.5)
         h = np.zeros(18)
         h[0] = 1.0
         assert abs(detect_score(model, h) - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
@@ -140,12 +140,12 @@ class TestDetectScore:
         rng = np.random.default_rng(3)
         weights = rng.standard_normal(18)
         h = rng.standard_normal(18)
-        p = detect_score(DetectorModel(weights, 16, 2), h)
-        q = detect_score(DetectorModel(-weights, 16, 2), h)
+        p = detect_score(DetectorModel(weights, 16, 2, 0.5), h)
+        q = detect_score(DetectorModel(-weights, 16, 2, 0.5), h)
         assert abs(p + q - 1.0) < 1e-12
 
     def test_dimension_mismatch(self):
-        model = DetectorModel(np.zeros(18), 16, 2)
+        model = DetectorModel(np.zeros(18), 16, 2, 0.5)
         with pytest.raises(ValueError, match="does not match"):
             detect_score(model, np.zeros(17))
 
@@ -153,24 +153,24 @@ class TestDetectScore:
         h = np.zeros(18)
         h[5] = 2.0
         weights = np.zeros(18)
-        low = detect_score(DetectorModel(weights.copy(), 16, 2), h)
+        low = detect_score(DetectorModel(weights.copy(), 16, 2, 0.5), h)
         weights[5] = 0.5
-        high = detect_score(DetectorModel(weights, 16, 2), h)
+        high = detect_score(DetectorModel(weights, 16, 2, 0.5), h)
         assert high > low
 
 
 class TestDetectorModel:
     def test_validation(self):
         with pytest.raises(ValueError, match="hash_dim"):
-            DetectorModel(np.zeros(10), 8, 2)
+            DetectorModel(np.zeros(10), 8, 2, 0.5)
         with pytest.raises(ValueError, match="turn_buckets"):
-            DetectorModel(np.zeros(16), 16, 0)
+            DetectorModel(np.zeros(16), 16, 0, 0.5)
         with pytest.raises(ValueError, match="threshold"):
             DetectorModel(np.zeros(18), 16, 2, threshold=1.0)
         with pytest.raises(ValueError, match="length"):
-            DetectorModel(np.zeros(17), 16, 2)
+            DetectorModel(np.zeros(17), 16, 2, 0.5)
         with pytest.raises(ValueError, match="finite"):
-            DetectorModel(np.full(18, np.inf), 16, 2)
+            DetectorModel(np.full(18, np.inf), 16, 2, 0.5)
 
 
 BAD_DETECTOR_HYPERS = [
@@ -301,7 +301,7 @@ class TestSparseTraining:
 
 class TestDetect:
     def test_boundary_probability_triggers(self):
-        model = DetectorModel(np.zeros(4112), 4096, 16)
+        model = DetectorModel(np.zeros(4112), 4096, 16, 0.5)
         result = detect(model, dialog((Speaker.USER, "hi")))
         assert result.probability == 0.5
         assert result.triggered is True
@@ -335,3 +335,21 @@ class TestPersistence:
         path.write_text(json.dumps({"hash_dim": 16}))
         with pytest.raises(ValueError, match="missing field"):
             load_detector(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(as_array, "expected a JSON object", id="array"),
+        pytest.param(with_field("hash_dim", None), "'hash_dim' must be an integer, got None", id="null"),
+        pytest.param(with_field("hash_dim", 16.7), "'hash_dim' must be an integer, got 16.7", id="fraction"),
+        pytest.param(with_field("turn_buckets", True),
+                     "'turn_buckets' must be an integer, got True", id="bool"),
+        pytest.param(with_field("threshold", 1.5), "threshold must lie in (0, 1)", id="detector-model"),
+        pytest.param(truncated, "parse error at line", id="truncated"),
+    ])
+    def test_malformed_file_names_its_path(self, tmp_path, edit, message):
+        path = tmp_path / "detector.json"
+        save_detector(DetectorModel(np.zeros(18), 16, 2, 0.5), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError) as info:
+            load_detector(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)

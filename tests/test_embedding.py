@@ -217,14 +217,14 @@ class TestEmbedPair:
 class TestTfidfRank:
     def test_identical_candidate_scores_1(self):
         candidates = [snippet("0", "is parking free"), snippet("1", "pool hours"), snippet("2", "gym hours")]
-        ranked = tfidf_rank(corpus_of(*candidates), "is parking free", candidates)
+        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "is parking free", candidates)
         assert ranked[0][0].doc_id == "0"
         assert abs(ranked[0][1] - 1.0) < 1e-12
         assert all(score < 1.0 for _, score in ranked[1:])
 
     def test_disjoint_question_all_zero_index_order(self):
         candidates = [snippet("0", "alpha beta"), snippet("1", "gamma delta")]
-        ranked = tfidf_rank(corpus_of(*candidates), "epsilon zeta", candidates)
+        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "epsilon zeta", candidates)
         assert [s.doc_id for s, _ in ranked] == ["0", "1"]
         assert [score for _, score in ranked] == [0.0, 0.0]
 
@@ -253,7 +253,7 @@ class TestTfidfRank:
             cosine(question, weights({"x": 1, "z": 1})),
             cosine(question, weights({"z": 2})),
         ]
-        ranked = tfidf_rank(corpus, "x y", candidates)
+        ranked = tfidf_rank(build_vocabulary(corpus), "x y", candidates)
         by_doc = {s.doc_id: score for s, score in ranked}
         for doc_id, value in zip("012", expected):
             assert abs(by_doc[doc_id] - value) < 1e-12
@@ -262,15 +262,15 @@ class TestTfidfRank:
     def test_question_oov_tokens_dropped(self):
         candidates = [snippet("0", "alpha beta"), snippet("1", "gamma delta")]
         corpus = corpus_of(*candidates)
-        with_oov = tfidf_rank(corpus, "qqq alpha", candidates)
-        without = tfidf_rank(corpus, "alpha", candidates)
+        with_oov = tfidf_rank(build_vocabulary(corpus), "qqq alpha", candidates)
+        without = tfidf_rank(build_vocabulary(corpus), "alpha", candidates)
         assert [(s.doc_id, score) for s, score in with_oov] == [
             (s.doc_id, score) for s, score in without
         ]
 
     def test_ties_keep_candidate_index_order(self):
         candidates = [snippet("0", "alpha beta"), snippet("1", "alpha beta")]
-        ranked = tfidf_rank(corpus_of(*candidates), "alpha", candidates)
+        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "alpha", candidates)
         assert [s.doc_id for s, _ in ranked] == ["0", "1"]
         assert ranked[0][1] == ranked[1][1]
 
@@ -284,7 +284,7 @@ class TestTfidfRank:
             ]
             corpus = corpus_of(*candidates)
             question = " ".join(rng.choice(vocabulary, size=3))
-            ranked = tfidf_rank(corpus, question, candidates)
+            ranked = tfidf_rank(build_vocabulary(corpus), question, candidates)
             assert sorted(s.doc_id for s, _ in ranked) == [str(i) for i in range(5)]
             scores = [score for _, score in ranked]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
@@ -292,7 +292,7 @@ class TestTfidfRank:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            tfidf_rank(corpus_of(snippet("0", "a")), "a", [])
+            tfidf_rank(build_vocabulary(corpus_of(snippet("0", "a"))), "a", [])
 
 
 class TestBuildVocabulary:

@@ -22,7 +22,7 @@ def snippet(title, body=""):
 
 
 def zero_detector():
-    return DetectorModel(np.zeros(4112), 4096, 16)
+    return DetectorModel(np.zeros(4112), 4096, 16, 0.5)
 
 
 def exact_match_selector():

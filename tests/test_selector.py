@@ -34,7 +34,15 @@ from kgdial.selector import (
     _mean_loss,
 )
 
-from helpers import FixedProvider, ScaledProvider, finite_difference_gradient, naive_node_features
+from helpers import (
+    FixedProvider,
+    ScaledProvider,
+    as_array,
+    finite_difference_gradient,
+    naive_node_features,
+    truncated,
+    with_field,
+)
 
 
 def snippet(doc_id, title, body=""):
@@ -570,3 +578,24 @@ class TestPersistence:
         path.write_text(json.dumps({"mus": [0.0, 1.0]}))
         with pytest.raises(ValueError, match="missing field"):
             load_selector(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(as_array, "expected a JSON object", id="array"),
+        pytest.param(with_field("attention_flag", "false"),
+                     "'attention_flag' must be true or false, got 'false'", id="string-flag"),
+        pytest.param(with_field("provider", "x"), "'provider' must be an object, got 'x'", id="provider"),
+        pytest.param(with_field("sigmas", [-0.1] * 11), "sigmas must be positive", id="kernel-bank"),
+        pytest.param(with_field("readout_weights", [0.0]),
+                     "readout_weights must have length 11", id="selector-model"),
+        pytest.param(with_field("provider", {"kind": "glove"}),
+                     "unknown provider kind 'glove'", id="provider-kind"),
+        pytest.param(truncated, "parse error at line", id="truncated"),
+    ])
+    def test_malformed_file_names_its_path(self, bank11, provider7, tmp_path, edit, message):
+        path = tmp_path / "selector.json"
+        save_selector(SelectorModel(bank11, np.zeros(11)), provider7, path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError) as info:
+            load_selector(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
