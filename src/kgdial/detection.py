@@ -5,12 +5,18 @@ history from the beginning, every turn prefixed by its speaker tag), hashed
 into a bag of word unigrams and bigrams, extended with a one-hot turn-count
 bucket, and scored by a bias-free sigmoid linear model trained with
 full-batch gradient descent on binary log loss.
+
+N-grams are bucketed with CRC-32 (feature hashing needs a stable hash that
+spreads its inputs, not a cryptographic one). The hash decides which weight
+each n-gram reads, so it is part of the model: a detector file records it as
+``"ngram_hash": "crc32"`` and a file that records no hash or another one is
+rejected at load and must be retrained.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -22,6 +28,9 @@ from .descent import _descend, check_schedule
 from .embedding import tokenize
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
+
+# The n-gram hash a detector was trained with; recorded in every detector file.
+NGRAM_HASH = "crc32"
 
 
 def serialize_dialog(dialog: DialogInstance) -> str:
@@ -41,16 +50,21 @@ def serialize_dialog(dialog: DialogInstance) -> str:
 
 
 def ngram_hash(ngram: str) -> int:
-    """Stable 64-bit hash of an n-gram (big-endian blake2b digest)."""
-    return int.from_bytes(hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest(), "big")
+    """Stable 32-bit hash of an n-gram: CRC-32 of its UTF-8 bytes, in [0, 2**32).
+
+    The same in every process and on every platform, unlike the salted
+    built-in ``hash``.
+    """
+    return zlib.crc32(ngram.encode("utf-8"))
 
 
 def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int) -> np.ndarray:
     """Hashed unigram+bigram counts followed by a one-hot turn-count bucket.
 
     Speaker tags survive tokenization as the tokens "user" and "sys". Each
-    n-gram adds 1.0 at ``ngram_hash(ngram) % hash_dim``; the bucket index is
-    ``min(turn_count, turn_buckets) - 1``.
+    n-gram adds 1.0 at ``ngram_hash(ngram) % hash_dim``, which reads the low
+    bits of its CRC-32 when ``hash_dim`` is a power of two; the bucket index
+    is ``min(turn_count, turn_buckets) - 1``.
     """
     if hash_dim < 1 or turn_buckets < 1:
         raise ValueError(f"need hash_dim >= 1 and turn_buckets >= 1, got {hash_dim}, {turn_buckets}")
@@ -190,8 +204,9 @@ def train_detector(
 
 
 def save_detector(model: DetectorModel, path) -> None:
-    """Write the model as JSON with exact float round-trip."""
+    """Write the model as JSON with exact float round-trip and its n-gram hash."""
     payload = {
+        "ngram_hash": NGRAM_HASH,
         "hash_dim": model.hash_dim,
         "turn_buckets": model.turn_buckets,
         "threshold": model.threshold,
@@ -203,7 +218,9 @@ def save_detector(model: DetectorModel, path) -> None:
 def load_detector(path) -> DetectorModel:
     """Read a model file written by :func:`save_detector`.
 
-    A malformed file raises ValueError with a message that starts with ``path``.
+    A malformed file raises ValueError with a message that starts with ``path``,
+    as does a file whose ``ngram_hash`` is missing or is not :data:`NGRAM_HASH`:
+    its weights belong to other buckets, so the detector must be retrained.
     """
     payload = _read_json(path)
     try:
@@ -212,6 +229,12 @@ def load_detector(path) -> DetectorModel:
         for key in ("hash_dim", "turn_buckets"):
             if type(payload[key]) is not int:
                 raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
+        if type(payload["threshold"]) not in (int, float):
+            raise ValueError(f"'threshold' must be a number, got {payload['threshold']!r}")
+        if "ngram_hash" not in payload:
+            raise ValueError(f"no 'ngram_hash' field, so not hashed with {NGRAM_HASH!r}: retrain the detector")
+        if payload["ngram_hash"] != NGRAM_HASH:
+            raise ValueError(f"'ngram_hash' is {payload['ngram_hash']!r}, not {NGRAM_HASH!r}: retrain the detector")
         return DetectorModel(
             np.array(payload["weights"], dtype=float),
             payload["hash_dim"],

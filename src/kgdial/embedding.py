@@ -137,9 +137,16 @@ class FileVectors(_TokenVectors):
 
 
 def provider_from_description(description: dict):
-    """Rebuild a provider from its :meth:`describe` dictionary."""
+    """Rebuild a provider from its :meth:`describe` dictionary, as read from a model file.
+
+    A hashed-Gaussian ``seed`` and ``dim`` must be JSON integers: a string or
+    a fraction raises ValueError rather than being coerced.
+    """
     kind = description.get("kind")
     if kind == HashedGaussianVectors.kind:
+        for key in ("seed", "dim"):
+            if type(description[key]) is not int:
+                raise ValueError(f"provider {key!r} must be an integer, got {description[key]!r}")
         return HashedGaussianVectors(seed=description["seed"], dim=description["dim"])
     if kind == FileVectors.kind:
         provider = FileVectors(description["path"])

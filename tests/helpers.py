@@ -6,9 +6,9 @@ package so it can serve as a reference implementation.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import zlib
 
 import numpy as np
 
@@ -89,8 +89,7 @@ def naive_node_features(question, candidates, provider, bank) -> np.ndarray:
 
 
 def oracle_ngram_index(ngram: str, hash_dim: int) -> int:
-    digest = hashlib.blake2b(ngram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % hash_dim
+    return zlib.crc32(ngram.encode("utf-8")) % hash_dim
 
 
 def oracle_detection_metrics(predictions, gold) -> dict:
@@ -136,6 +135,11 @@ def finite_difference_gradient(loss_of_weights, weights: np.ndarray, h: float = 
 def with_field(key, value):
     """Edit of a JSON object's text that sets ``key`` to ``value``."""
     return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def without_field(key):
+    """Edit of a JSON object's text that removes ``key``."""
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
 
 
 def as_array(text: str) -> str:

@@ -22,7 +22,7 @@ from kgdial.selector import (
     save_selector,
 )
 
-from helpers import as_array, truncated, with_field
+from helpers import as_array, truncated, with_field, without_field
 
 
 def count_calls(monkeypatch, home, name) -> list:
@@ -38,6 +38,16 @@ def count_calls(monkeypatch, home, name) -> list:
         if module_name.startswith("kgdial") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def run_cli_process(argv, **env) -> subprocess.CompletedProcess:
+    """Run ``python -m kgdial.cli argv`` in a new process, with ``env`` added to its environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "kgdial.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path, **env}, timeout=60,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +135,16 @@ class TestTrain:
                      "--model", str(tmp_path / "s.json"), "--epochs", "3"]) == 0
         assert len(calls) == 1
         assert "final Acc@1" in capsys.readouterr().out
+
+    def test_detect_identical_across_processes_with_other_hash_seeds(self, workdir, tmp_path):
+        """The n-gram hash must not be the salted built-in ``hash``."""
+        paths = [tmp_path / "seed1.json", tmp_path / "seed2.json"]
+        for seed, path in zip(["1", "2"], paths):
+            proc = run_cli_process(["train", "detect", *workdir["corpus_flags"],
+                                    "--model", str(path), "--epochs", "40"], PYTHONHASHSEED=seed)
+            assert proc.returncode == 0, proc.stderr
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert paths[0].read_bytes() == Path(workdir["detector"]).read_bytes()
 
     def test_detect_writes_strong_model(self, workdir, capsys):
         capsys.readouterr()
@@ -342,6 +362,25 @@ class TestErrorHandling:
         assert err.startswith(f"error: {path}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["eval", "pipeline"])
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(without_field("ngram_hash"), "no 'ngram_hash' field", id="unrecorded"),
+        pytest.param(with_field("ngram_hash", "blake2b"), "'ngram_hash' is 'blake2b'", id="blake2b"),
+    ])
+    def test_detector_with_another_hash_must_be_retrained(self, workdir, tmp_path, capsys,
+                                                          command, edit, message):
+        path = tmp_path / "detector.json"
+        path.write_text(edit(Path(workdir["detector"]).read_text()))
+        argv = [command, *workdir["corpus_flags"], "--detector", str(path)]
+        if command == "pipeline":
+            argv += ["--model", workdir["selector"], "--dialog", "d0000", "--entity", "synth/e0000"]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}")
+        assert err.endswith(": retrain the detector\n")
+        assert len(err.strip().splitlines()) == 1
+
 
 def missing_corpus_flags(tmp_path) -> list[str]:
     missing = str(tmp_path / "missing.json")
@@ -371,14 +410,8 @@ class TestHyperparameterChecks:
 
     def test_process_exits_with_status_1(self, tmp_path):
         model = tmp_path / "model.json"
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "kgdial.cli", "train", "detect", "--epochs", "-5",
-             *missing_corpus_flags(tmp_path), "--model", str(model)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_cli_process(["train", "detect", "--epochs", "-5",
+                                *missing_corpus_flags(tmp_path), "--model", str(model)])
         assert proc.returncode == 1
         assert proc.stderr == "error: epochs must be >= 0, got -5\n"
         assert not model.exists()

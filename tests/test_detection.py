@@ -32,7 +32,7 @@ from kgdial.detection import (
 from kgdial.embedding import tokenize
 from kgdial.evaluation import evaluate_detector
 
-from helpers import as_array, oracle_ngram_index, truncated, with_field
+from helpers import as_array, oracle_ngram_index, truncated, with_field, without_field
 
 
 def dialog(*turns):
@@ -99,7 +99,13 @@ class TestFeaturize:
             featurize("[User]hi", 1, 0, 2)
 
     def test_ngram_hash_is_stable(self):
-        assert ngram_hash("parking") == oracle_ngram_index("parking", 2**64)
+        assert ngram_hash("parking") == 2989970042
+        assert ngram_hash("停车") == 1165278108
+        assert ngram_hash("") == 0
+
+    @given(st.text())
+    def test_ngram_hash_is_32_bit(self, ngram):
+        assert 0 <= ngram_hash(ngram) < 2**32
 
 
 class TestFeaturizeProperty:
@@ -330,6 +336,11 @@ class TestPersistence:
         assert loaded.turn_buckets == model.turn_buckets
         assert loaded.threshold == model.threshold
 
+    def test_file_records_the_ngram_hash(self, tmp_path):
+        path = tmp_path / "detector.json"
+        save_detector(DetectorModel(np.zeros(18), 16, 2, 0.5), path)
+        assert json.loads(path.read_text())["ngram_hash"] == detection.NGRAM_HASH == "crc32"
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "detector.json"
         path.write_text(json.dumps({"hash_dim": 16}))
@@ -343,6 +354,15 @@ class TestPersistence:
         pytest.param(with_field("turn_buckets", True),
                      "'turn_buckets' must be an integer, got True", id="bool"),
         pytest.param(with_field("threshold", 1.5), "threshold must lie in (0, 1)", id="detector-model"),
+        pytest.param(with_field("threshold", "0.5"), "'threshold' must be a number, got '0.5'",
+                     id="string-threshold"),
+        pytest.param(with_field("threshold", True), "'threshold' must be a number, got True",
+                     id="bool-threshold"),
+        pytest.param(without_field("ngram_hash"),
+                     "no 'ngram_hash' field, so not hashed with 'crc32': retrain the detector",
+                     id="hash-unrecorded"),
+        pytest.param(with_field("ngram_hash", "blake2b"),
+                     "'ngram_hash' is 'blake2b', not 'crc32': retrain the detector", id="hash-blake2b"),
         pytest.param(truncated, "parse error at line", id="truncated"),
     ])
     def test_malformed_file_names_its_path(self, tmp_path, edit, message):

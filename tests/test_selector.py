@@ -589,6 +589,12 @@ class TestPersistence:
                      "readout_weights must have length 11", id="selector-model"),
         pytest.param(with_field("provider", {"kind": "glove"}),
                      "unknown provider kind 'glove'", id="provider-kind"),
+        pytest.param(with_field("provider", {"kind": "hashed-gaussian", "seed": "7", "dim": 32}),
+                     "provider 'seed' must be an integer, got '7'", id="string-seed"),
+        pytest.param(with_field("provider", {"kind": "hashed-gaussian", "seed": 7, "dim": 32.7}),
+                     "provider 'dim' must be an integer, got 32.7", id="fraction-dim"),
+        pytest.param(with_field("provider", {"kind": "hashed-gaussian", "seed": False, "dim": 32}),
+                     "provider 'seed' must be an integer, got False", id="bool-seed"),
         pytest.param(truncated, "parse error at line", id="truncated"),
     ])
     def test_malformed_file_names_its_path(self, bank11, provider7, tmp_path, edit, message):
