@@ -181,12 +181,12 @@ def cmd_train_select(args) -> int:
         line_search=args.line_search,
     )
     bank = default_kernel_bank(hyper.n_kernels)
-    corpus = load_corpus(args.knowledge, args.logs, args.labels)
     provider = (
         FileVectors(args.vectors)
         if args.vectors
         else HashedGaussianVectors(args.embed_seed, args.embed_dim)
     )
+    corpus = load_corpus(args.knowledge, args.logs, args.labels)
     instances = selection_instances(corpus, provider, bank)
     model, losses = _fit(instances, bank, hyper)
     for epoch, loss in enumerate(losses):

@@ -143,6 +143,14 @@ def _read_json(path, reject_duplicate_keys: bool = False):
         raise CorpusError(f"{path}: {exc}") from None
 
 
+def _number_array(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]`` as a float vector; it must be a JSON array of numbers, with no string or bool."""
+    values = payload[key]
+    if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
+        raise ValueError(f"{key!r} must be an array of numbers")
+    return np.array(values, dtype=float)
+
+
 def load_knowledge(
     knowledge_path,
 ) -> tuple[dict[tuple[str, str], list[KnowledgeSnippet]], dict[tuple[str, str], str]]:
@@ -296,6 +304,14 @@ def candidate_set(corpus: Corpus, entity: tuple[str, str]) -> list[KnowledgeSnip
         return list(corpus.snippets[tuple(entity)])
     except KeyError:
         raise CorpusError(f"unknown entity ({entity[0]!r}, {entity[1]!r})") from None
+
+
+def rank_order(scores) -> np.ndarray:
+    """The one ranking rule: candidate indices by score, highest first, ties in stored candidate order.
+
+    ``scores`` is in candidate order; an n x L matrix is ranked row by row.
+    """
+    return np.argsort(-np.asarray(scores), axis=-1, kind="stable")
 
 
 def labeled_candidates(corpus: Corpus):

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, DialogInstance, Speaker, _read_json
+from .corpus import Corpus, DialogInstance, Speaker, _number_array, _read_json
 from .descent import _descend, check_schedule
 from .embedding import tokenize
 
@@ -236,12 +236,12 @@ def load_detector(path) -> DetectorModel:
         if payload["ngram_hash"] != NGRAM_HASH:
             raise ValueError(f"'ngram_hash' is {payload['ngram_hash']!r}, not {NGRAM_HASH!r}: retrain the detector")
         return DetectorModel(
-            np.array(payload["weights"], dtype=float),
+            _number_array(payload, "weights"),
             payload["hash_dim"],
             payload["turn_buckets"],
             float(payload["threshold"]),
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

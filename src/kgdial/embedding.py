@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet
+from .corpus import Corpus, KnowledgeSnippet, rank_order
 
 # Sentinel emitted for text with no alphanumeric content, so every text
 # embeds to at least one row.
@@ -55,7 +55,8 @@ class HashedGaussianVectors(_TokenVectors):
     """Standard-normal token vectors keyed by (seed, token) via a stable hash.
 
     The full d-dimensional draw makes vector-level collisions of distinct
-    tokens a probability-zero event. Deterministic across processes.
+    tokens a probability-zero event. Deterministic across processes. The
+    seed is hashed as 8 signed bytes, so it must lie in [-2**63, 2**63).
     """
 
     kind = "hashed-gaussian"
@@ -64,6 +65,8 @@ class HashedGaussianVectors(_TokenVectors):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
         self.seed = int(seed)
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
         self.dim = int(dim)
         self._cache: dict[str, np.ndarray] = {}
 
@@ -139,8 +142,9 @@ class FileVectors(_TokenVectors):
 def provider_from_description(description: dict):
     """Rebuild a provider from its :meth:`describe` dictionary, as read from a model file.
 
-    A hashed-Gaussian ``seed`` and ``dim`` must be JSON integers: a string or
-    a fraction raises ValueError rather than being coerced.
+    A hashed-Gaussian ``seed`` and ``dim`` and a recorded file-vectors ``dim``
+    must be JSON integers, and a file-vectors ``path`` a JSON string: any
+    other value raises ValueError rather than being coerced.
     """
     kind = description.get("kind")
     if kind == HashedGaussianVectors.kind:
@@ -149,6 +153,10 @@ def provider_from_description(description: dict):
                 raise ValueError(f"provider {key!r} must be an integer, got {description[key]!r}")
         return HashedGaussianVectors(seed=description["seed"], dim=description["dim"])
     if kind == FileVectors.kind:
+        if type(description["path"]) is not str:
+            raise ValueError(f"provider 'path' must be a string, got {description['path']!r}")
+        if "dim" in description and type(description["dim"]) is not int:
+            raise ValueError(f"provider 'dim' must be an integer, got {description['dim']!r}")
         provider = FileVectors(description["path"])
         if "dim" in description and provider.dim != description["dim"]:
             raise ValueError(
@@ -244,26 +252,24 @@ def _tfidf_weights(tokens: list[str], vocab: Vocabulary) -> dict[str, float]:
 def tfidf_rank(
     vocab: Vocabulary, question: str, candidates: list[KnowledgeSnippet]
 ) -> list[tuple[KnowledgeSnippet, float]]:
-    """Rank candidates by TF-IDF cosine against the question, descending.
+    """Candidates with their TF-IDF cosines against the question, in :func:`~kgdial.corpus.rank_order`.
 
     Term frequency is the raw count; idf = ln((1+N)/(1+df)) + 1 with N the
     vocabulary's snippet count. Question tokens outside the vocabulary are
-    dropped. Ties keep candidate-index order. Scores lie in [0, 1].
+    dropped. Scores lie in [0, 1].
     """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     q_weights = _tfidf_weights(tokenize(question), vocab)
     q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
 
-    scored = []
+    scores = []
     for snippet in candidates:
         c_weights = _tfidf_weights(tokenize(snippet.text), vocab)
         c_norm = math.sqrt(sum(w * w for w in c_weights.values()))
         if q_norm < 1e-12 or c_norm < 1e-12:
-            score = 0.0
+            scores.append(0.0)
         else:
             dot = sum(w * c_weights[t] for t, w in q_weights.items() if t in c_weights)
-            score = min(max(dot / (q_norm * c_norm), 0.0), 1.0)
-        scored.append((snippet, score))
-    scored.sort(key=lambda pair: -pair[1])
-    return scored
+            scores.append(min(max(dot / (q_norm * c_norm), 0.0), 1.0))
+    return [(candidates[i], scores[i]) for i in rank_order(scores).tolist()]

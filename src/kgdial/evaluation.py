@@ -13,10 +13,12 @@ import json
 import warnings
 from dataclasses import asdict, dataclass
 
-from .corpus import Corpus, labeled_candidates
+import numpy as np
+
+from .corpus import Corpus, labeled_candidates, rank_order
 from .detection import DetectorModel, detect
 from .embedding import build_vocabulary, tfidf_rank
-from .selector import SelectionInstance, SelectorModel, readout, selection_instances
+from .selector import SelectionInstance, SelectorModel, _batch, selection_instances
 
 RANK_CUTOFF = 5
 
@@ -92,25 +94,20 @@ def selection_metrics(ranked_golden_positions: list[int]) -> SelectionMetrics:
     return SelectionMetrics(hits_at_1 / n, hits_at_5 / n, reciprocal_total / n, n)
 
 
-def _golden_position(scores, golden_index: int) -> tuple[int, int]:
-    """1-based rank of the golden candidate under (score desc, index asc), plus tie count."""
-    golden_score = scores[golden_index]
-    position = 1
-    ties = 0
-    for index, score in enumerate(scores):
-        if score > golden_score or (score == golden_score and index < golden_index):
-            position += 1
-        if score == golden_score and index != golden_index:
-            ties += 1
-    return position, ties
+def _golden_metrics(scores: np.ndarray, golden: np.ndarray, label: str) -> SelectionMetrics:
+    """Golden-rank metrics of an n x L score matrix padded with -inf, one golden column per row.
 
-
-def _warn_ties(ties: int, label: str) -> None:
+    Ranks follow :func:`~kgdial.corpus.rank_order`; candidates that tie
+    with a golden score are counted in a warning.
+    """
+    positions = np.argmax(rank_order(scores) == golden[:, None], axis=1) + 1
+    ties = int((scores == scores[np.arange(golden.size), golden][:, None]).sum()) - golden.size
     if ties:
         warnings.warn(
             f"{label}: {ties} candidate scores tied with a golden score; "
             "ranks fall back to candidate order"
         )
+    return selection_metrics(positions.tolist())
 
 
 def evaluate_selector(model: SelectorModel, provider, corpus: Corpus) -> SelectionMetrics:
@@ -126,30 +123,22 @@ def _rank_instances(model: SelectorModel, instances: list[SelectionInstance]) ->
     """Golden-rank metrics of :func:`evaluate_selector` on instances featurized already."""
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
-    outcomes = [
-        _golden_position(readout(instance.features, model).scores, instance.golden_index)
-        for instance in instances
-    ]
-    _warn_ties(sum(t for _, t in outcomes), "selector evaluation")
-    return selection_metrics([p for p, _ in outcomes])
+    features, mask = _batch([i.features for i in instances], model.attention_enabled)
+    scores = np.where(mask, features @ model.readout_weights, -np.inf)
+    return _golden_metrics(scores, np.array([i.golden_index for i in instances]), "selector evaluation")
 
 
 def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
     """Golden-rank metrics for the TF-IDF baseline over the same dialogs."""
-    vocab = build_vocabulary(corpus)
-    positions = []
-    ties = 0
-    for dialog, candidates, golden_index in labeled_candidates(corpus):
-        ranked = tfidf_rank(vocab, dialog.current_turn.text, candidates)
-        scores = {snippet.doc_id: score for snippet, score in ranked}
-        ordered_scores = [scores[c.doc_id] for c in candidates]
-        position, instance_ties = _golden_position(ordered_scores, golden_index)
-        positions.append(position)
-        ties += instance_ties
-    if not positions:
+    labeled = list(labeled_candidates(corpus))
+    if not labeled:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
-    _warn_ties(ties, "tfidf evaluation")
-    return selection_metrics(positions)
+    vocab = build_vocabulary(corpus)
+    scores = np.full((len(labeled), max(len(c) for _, c, _ in labeled)), -np.inf)
+    for row, (dialog, candidates, _) in enumerate(labeled):
+        by_snippet = dict(tfidf_rank(vocab, dialog.current_turn.text, candidates))
+        scores[row, : len(candidates)] = [by_snippet[c] for c in candidates]
+    return _golden_metrics(scores, np.array([g for _, _, g in labeled]), "tfidf evaluation")
 
 
 def evaluate_detector(model: DetectorModel, corpus: Corpus) -> DetectionMetrics:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker, candidate_set
+from .corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker, candidate_set, rank_order
 from .detection import DetectorModel, detect
 from .selector import SelectionDistribution, SelectorModel, selection_distribution
 
@@ -67,15 +67,15 @@ def run_pipeline(
 ) -> PipelineResult:
     """Detect; when triggered, rank the entity's snippets and format the input.
 
-    The top snippet is the highest-probability candidate (ties keep candidate
-    order) and the generation input leaves the response slot empty.
+    The top snippet comes first in :func:`~kgdial.corpus.rank_order` of selection
+    probability, and the generation input leaves the response slot empty.
     """
     probability, triggered = detect(detector, dialog)
     if not triggered:
         return PipelineResult(False, probability)
     candidates = candidate_set(corpus, entity)
     dist = selection_distribution(selector_model, provider, dialog.current_turn.text, candidates)
-    top_index = min(range(dist.size), key=lambda i: (-dist.probabilities[i], i))
+    top_index = rank_order(dist.probabilities)[0]
     generation_input = format_generation_input(candidates[top_index], dialog.turns)
     return PipelineResult(True, probability, dist, candidates[top_index].ref, generation_input)
 

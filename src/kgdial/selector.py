@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, SnippetRef, _read_json, labeled_candidates
+from .corpus import Corpus, KnowledgeSnippet, SnippetRef, _number_array, _read_json, labeled_candidates, rank_order
 from .descent import _descend, check_schedule
 from .embedding import PairEmbedding, embed_pair, provider_from_description
 
@@ -49,9 +49,9 @@ class KernelBank:
             raise ValueError("mus and sigmas must be equal-length vectors")
         if mus.size < 2:
             raise ValueError(f"need at least 2 kernels, got {mus.size}")
-        if np.any(sigmas <= 0):
+        if not np.all(sigmas > 0):
             raise ValueError("sigmas must be positive")
-        if np.any(np.abs(mus) > 1):
+        if not np.all(np.abs(mus) <= 1):
             raise ValueError("mus must lie in [-1, 1]")
         exact = (mus == EXACT_MU) & (sigmas == EXACT_SIGMA)
         if not exact[-1] or np.any(exact[:-1]):
@@ -328,10 +328,12 @@ def selection_distribution(
 def rank(
     model: SelectorModel, provider, question: str, candidates: list[KnowledgeSnippet]
 ) -> list[tuple[SnippetRef, float]]:
-    """Candidates ordered by selection probability, ties by candidate index."""
+    """Candidates with their probabilities, in :func:`~kgdial.corpus.rank_order` of readout score.
+
+    Probabilities would not do: a confident model rounds them into ties, down to 0 on underflow.
+    """
     dist = selection_distribution(model, provider, question, candidates)
-    order = sorted(range(dist.size), key=lambda i: (-dist.probabilities[i], i))
-    return [(dist.candidate_refs[i], float(dist.probabilities[i])) for i in order]
+    return [(dist.candidate_refs[i], float(dist.probabilities[i])) for i in rank_order(dist.scores).tolist()]
 
 
 def save_selector(model: SelectorModel, provider, path) -> None:
@@ -359,11 +361,11 @@ def load_selector(path) -> tuple[SelectorModel, object]:
             raise ValueError(f"'attention_flag' must be true or false, got {payload['attention_flag']!r}")
         if not isinstance(payload["provider"], dict):
             raise ValueError(f"'provider' must be an object, got {payload['provider']!r}")
-        bank = KernelBank(np.array(payload["mus"]), np.array(payload["sigmas"]))
-        model = SelectorModel(bank, np.array(payload["readout_weights"]), payload["attention_flag"])
+        bank = KernelBank(_number_array(payload, "mus"), _number_array(payload, "sigmas"))
+        model = SelectorModel(bank, _number_array(payload, "readout_weights"), payload["attention_flag"])
         provider = provider_from_description(payload["provider"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, provider

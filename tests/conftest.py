@@ -1,10 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from kgdial.corpus import SynthParams, synth_corpus
 from kgdial.detection import DetectorHyper, train_detector
 from kgdial.embedding import HashedGaussianVectors
 from kgdial.fixtures import hotel_corpus
 from kgdial.selector import SelectorHyper, default_kernel_bank, train_selector
+
+# Property tests draw the same examples on every run and machine, so that two
+# runs of the suite (say, before and after a change) test the same cases.
+settings.register_profile("kgdial", derandomize=True)
+settings.load_profile("kgdial")
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,19 @@ def oracle_ngram_index(ngram: str, hash_dim: int) -> int:
     return zlib.crc32(ngram.encode("utf-8")) % hash_dim
 
 
+def oracle_golden_position(scores, golden_index: int) -> tuple[int, int]:
+    """1-based rank of the golden candidate under (score desc, index asc), plus its tie count."""
+    golden_score = scores[golden_index]
+    position = 1
+    ties = 0
+    for index, score in enumerate(scores):
+        if score > golden_score or (score == golden_score and index < golden_index):
+            position += 1
+        if score == golden_score and index != golden_index:
+            ties += 1
+    return position, ties
+
+
 def oracle_detection_metrics(predictions, gold) -> dict:
     tp = sum(1 for p, g in zip(predictions, gold) if p and g)
     fp = sum(1 for p, g in zip(predictions, gold) if p and not g)

@@ -344,6 +344,8 @@ class TestErrorHandling:
         pytest.param("selector", as_array, id="selector-array"),
         pytest.param("selector", with_field("provider", "x"), id="selector-provider"),
         pytest.param("selector", truncated, id="selector-truncated"),
+        pytest.param("selector", with_field("provider", {"kind": "hashed-gaussian", "seed": 2**64, "dim": 32}),
+                     id="selector-65-bit-seed"),
         pytest.param("detector", as_array, id="detector-array"),
         pytest.param("detector", with_field("hash_dim", None), id="detector-null"),
         pytest.param("detector", with_field("hash_dim", 4096.7), id="detector-fraction"),
@@ -361,6 +363,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("entry", ["0.1", True])
+    def test_detector_weights_must_be_numbers(self, workdir, tmp_path, capsys, entry):
+        path = tmp_path / "detector.json"
+        payload = json.loads(Path(workdir["detector"]).read_text())
+        path.write_text(json.dumps({**payload, "weights": [entry] * len(payload["weights"])}))
+        capsys.readouterr()
+        assert main(["eval", *workdir["corpus_flags"], "--detector", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: 'weights' must be an array of numbers\n")
 
     @pytest.mark.parametrize("command", ["eval", "pipeline"])
     @pytest.mark.parametrize("edit, message", [
@@ -400,12 +411,25 @@ class TestHyperparameterChecks:
         (["select", "--epochs", "-1"], "epochs must be >= 0, got -1"),
         (["select", "--lr", "nan", "--epochs", "3"], "lr must be finite and >= 0, got nan"),
         (["select", "--kernels", "1"], "n_kernels must be >= 2, got 1"),
+        (["select", "--embed-seed", "9223372036854775808"],
+         "seed must lie in [-2**63, 2**63), got 9223372036854775808"),
+        (["select", "--embed-dim", "1"], "dim must be >= 2, got 1"),
     ])
     def test_rejected_before_reading_input(self, tmp_path, capsys, argv, message):
         model = tmp_path / "model.json"
         rc = main(["train", *argv, *missing_corpus_flags(tmp_path), "--model", str(model)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
+    def test_bad_vectors_file_rejected_before_reading_input(self, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("cat 1.0\n")
+        model = tmp_path / "model.json"
+        rc = main(["train", "select", "--vectors", str(vectors), *missing_corpus_flags(tmp_path),
+                   "--model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {vectors}:1: expected 'token v_1 ... v_d' with d >= 2\n"
         assert not model.exists()
 
     def test_process_exits_with_status_1(self, tmp_path):

@@ -358,6 +358,14 @@ class TestPersistence:
                      id="string-threshold"),
         pytest.param(with_field("threshold", True), "'threshold' must be a number, got True",
                      id="bool-threshold"),
+        pytest.param(with_field("threshold", 10**400), "int too large to convert to float",
+                     id="huge-threshold"),
+        pytest.param(with_field("weights", ["0.0"] * 18), "'weights' must be an array of numbers",
+                     id="string-weights"),
+        pytest.param(with_field("weights", [False] * 18), "'weights' must be an array of numbers",
+                     id="bool-weights"),
+        pytest.param(with_field("weights", [10**400] * 18), "int too large to convert to float",
+                     id="huge-weights"),
         pytest.param(without_field("ngram_hash"),
                      "no 'ngram_hash' field, so not hashed with 'crc32': retrain the detector",
                      id="hash-unrecorded"),

@@ -67,6 +67,15 @@ class TestHashedGaussianVectors:
         with pytest.raises(ValueError, match="dim"):
             HashedGaussianVectors(seed=7, dim=1)
 
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_64_bit_seed_bounds_accepted(self, seed):
+        assert HashedGaussianVectors(seed=seed, dim=4).embed("pool").shape == (4,)
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1])
+    def test_seed_beyond_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[-2\*\*63, 2\*\*63\), got {seed}"):
+            HashedGaussianVectors(seed=seed, dim=4)
+
     def test_embed_tokens_stacks_rows(self):
         provider = HashedGaussianVectors(seed=7, dim=16)
         matrix = provider.embed_tokens(["a", "b"])

@@ -1,14 +1,18 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker
+from kgdial.corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker, rank_order
 from kgdial.evaluation import (
     DetectionMetrics,
     ReportEntry,
     SelectionMetrics,
+    _golden_metrics,
     detection_metrics,
     evaluate_detector,
     evaluate_selector,
@@ -20,7 +24,7 @@ from kgdial.evaluation import (
 from kgdial.fixtures import hotel_corpus
 from kgdial.selector import SelectorModel, default_kernel_bank, rank, selection_instances
 
-from helpers import oracle_detection_metrics, oracle_selection_metrics
+from helpers import oracle_detection_metrics, oracle_golden_position, oracle_selection_metrics
 
 
 class TestF1Score:
@@ -118,6 +122,35 @@ class TestSelectionMetrics:
             selection_metrics([1.5])
 
 
+@st.composite
+def ragged_scores(draw):
+    """Score rows of 1-8 candidates from a few values, so ties are common, and a golden index per row."""
+    values = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0])
+    rows = draw(st.lists(st.lists(values, min_size=1, max_size=8), min_size=1, max_size=6))
+    return rows, [draw(st.integers(0, len(row) - 1)) for row in rows]
+
+
+class TestGoldenMetrics:
+    @settings(deadline=None)
+    @given(ragged_scores())
+    def test_positions_and_ties_match_the_oracle(self, case):
+        rows, golden = case
+        scores = np.full((len(rows), max(map(len, rows))), -np.inf)
+        for r, row in enumerate(rows):
+            scores[r, : len(row)] = row
+            assert rank_order(row).tolist() == sorted(range(len(row)), key=lambda i: (-row[i], i))
+        expected = [oracle_golden_position(row, g) for row, g in zip(rows, golden)]
+        ties = sum(t for _, t in expected)
+        warned = f"label: {ties} candidate scores tied with a golden score; ranks fall back to candidate order"
+
+        with mock.patch("kgdial.evaluation.selection_metrics", wraps=selection_metrics) as spy, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _golden_metrics(scores, np.array(golden), "label")
+        assert spy.call_args.args[0] == [p for p, _ in expected]
+        assert [str(w.message) for w in caught] == ([warned] if ties else [])
+
+
 def hotel_corpus_missing_golden():
     """The hotel corpus with its dialog's golden doc id set to one its entity lacks."""
     corpus = hotel_corpus()
@@ -189,6 +222,7 @@ class TestEvaluateSelector:
         model = SelectorModel(default_kernel_bank(11), weights)
         ranked = rank(model, provider7, dialog.current_turn.text, reordered.snippets[("hotel", "1")])
         assert [p for _, p in ranked[1:]] == [0.0] * 7
+        assert ranked[1][0] == SnippetRef("hotel", "1", "1")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             metrics = evaluate_selector(model, provider7, reordered)
@@ -210,6 +244,15 @@ class TestEvaluateTfidf:
         unlabeled = Corpus(corpus.snippets, [], corpus.entity_names)
         with pytest.raises(ValueError, match="no labeled"):
             evaluate_tfidf(unlabeled)
+
+    def test_golden_tied_with_an_earlier_copy_warns_and_ranks_second(self):
+        copies = [KnowledgeSnippet("d", "e", doc_id, "alpha?", "beta.") for doc_id in "01"]
+        dialog = DialogInstance(
+            "d0000", (DialogTurn(Speaker.USER, "alpha"),), target=True, golden=SnippetRef("d", "e", "1")
+        )
+        with pytest.warns(UserWarning, match="^tfidf evaluation: 1 candidate scores tied"):
+            metrics = evaluate_tfidf(Corpus({("d", "e"): copies}, [dialog]))
+        assert (metrics.acc_at_1, metrics.mrr_at_5) == (0.0, 0.5)
 
     def test_golden_missing_from_entity_names_dialog(self):
         broken = hotel_corpus_missing_golden()

@@ -595,6 +595,20 @@ class TestPersistence:
                      "provider 'dim' must be an integer, got 32.7", id="fraction-dim"),
         pytest.param(with_field("provider", {"kind": "hashed-gaussian", "seed": False, "dim": 32}),
                      "provider 'seed' must be an integer, got False", id="bool-seed"),
+        pytest.param(with_field("provider", {"kind": "hashed-gaussian", "seed": 2**64, "dim": 32}),
+                     "seed must lie in [-2**63, 2**63), got 18446744073709551616", id="65-bit-seed"),
+        pytest.param(with_field("provider", {"kind": "file-vectors", "path": 0}),
+                     "provider 'path' must be a string, got 0", id="descriptor-path"),
+        pytest.param(with_field("provider", {"kind": "file-vectors", "path": "missing.txt", "dim": True}),
+                     "provider 'dim' must be an integer, got True", id="bool-vectors-dim"),
+        pytest.param(with_field("mus", ["0.1"] * 11), "'mus' must be an array of numbers", id="string-mus"),
+        pytest.param(with_field("mus", [float("nan")] + [0.0] * 9 + [1.0]), "mus must lie in [-1, 1]", id="nan-mu"),
+        pytest.param(with_field("sigmas", [float("nan")] * 10 + [1e-3]), "sigmas must be positive", id="nan-sigma"),
+        pytest.param(with_field("sigmas", [True] * 11), "'sigmas' must be an array of numbers", id="bool-sigmas"),
+        pytest.param(with_field("readout_weights", ["0"] * 10 + [False]),
+                     "'readout_weights' must be an array of numbers", id="string-and-bool-weights"),
+        pytest.param(with_field("readout_weights", 0.5),
+                     "'readout_weights' must be an array of numbers", id="scalar-weights"),
         pytest.param(truncated, "parse error at line", id="truncated"),
     ])
     def test_malformed_file_names_its_path(self, bank11, provider7, tmp_path, edit, message):
