@@ -48,7 +48,8 @@ class _TokenVectors:
     """Base of the providers: stacks per-token :meth:`embed` vectors row-wise."""
 
     def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        return np.array([self.embed(t) for t in tokens])
+        """len(tokens) x dim matrix of the tokens' vectors, one :meth:`embed` call per token (0 x dim for none)."""
+        return np.concatenate([self.embed(t) for t in tokens] or [np.empty(0)]).reshape(len(tokens), self.dim)
 
 
 class HashedGaussianVectors(_TokenVectors):
@@ -179,16 +180,16 @@ class PairEmbedding:
     knowledge_starts: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        m, d = self.m, self.dim
-        widths = np.diff([*self.knowledge_starts, self.p])
-        if m < 1 or d < 2 or self.knowledge_starts[:1] != (0,) or np.any(widths < 1):
-            raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths.tolist()}, d={d}")
-        if m > MAX_QUESTION_TOKENS or widths.max() > MAX_KNOWLEDGE_TOKENS:
+        m, d, starts = self.m, self.dim, self.knowledge_starts
+        widths = [end - start for start, end in zip(starts, (*starts[1:], self.p))]
+        if m < 1 or d < 2 or starts[:1] != (0,) or min(widths) < 1:
+            raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths}, d={d}")
+        if m > MAX_QUESTION_TOKENS or max(widths) > MAX_KNOWLEDGE_TOKENS:
             raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
         if self.knowledge_vectors.shape[1] != d:
             raise ValueError("question and knowledge dimensions differ")
         for a in (self.question_vectors, self.knowledge_vectors):
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise ValueError("embedding entries must be finite")
 
     @property

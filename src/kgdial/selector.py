@@ -82,28 +82,40 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between question and (stacked) knowledge token vectors.
 
-    Rows or columns backed by a vector of norm < 1e-12 produce entries of 0.
+    Both sides' rows are normalized together in one pass. Rows or columns
+    backed by a vector of norm < 1e-12 produce entries of 0. A row whose
+    squared norm overflows is first divided by its largest magnitude, so its
+    cosines are those of the same direction at a representable scale.
     """
-    def normalize(vectors):
-        norms = np.linalg.norm(vectors, axis=1)
-        inv = np.zeros_like(norms)
-        nonzero = norms >= 1e-12
-        inv[nonzero] = 1.0 / norms[nonzero]
-        return vectors * inv[:, None]
-
-    return normalize(pair.question_vectors) @ normalize(pair.knowledge_vectors).T
+    vectors = np.concatenate((pair.question_vectors, pair.knowledge_vectors))
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
+    overflow = np.isinf(squares)
+    if overflow.any():
+        vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
+        squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
+    norms = np.sqrt(squares, out=squares)
+    norms[norms < 1e-12] = np.inf
+    unit = vectors * (1.0 / norms)[:, None]
+    return unit[: pair.m] @ unit[pair.m :].T
 
 
 def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.ndarray:
     """Soft match counts of a translation matrix: length K, or l x K given l candidates' first columns.
 
     Per kernel k: (1/m) * sum_i log(max(sum_j exp(-(M_ij - mu_k)^2 /
-    (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns.
+    (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns
+    (all columns when ``starts`` is None). The responses are built in place
+    in one K x m x p array, so each candidate's sum over j runs along the
+    contiguous last axis.
     """
-    diff = matrix[:, :, None] - bank.mus[None, None, :]
-    responses = np.exp(-(diff**2) / (2.0 * bank.sigmas[None, None, :] ** 2))
-    pooled = responses.sum(axis=1) if starts is None else np.add.reduceat(responses, starts, axis=1)
-    return np.log(np.maximum(pooled, KERNEL_EPS)).mean(axis=0)
+    responses = np.subtract(matrix, bank.mus[:, None, None])
+    np.square(responses, out=responses)
+    responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps
+    pooled = np.add.reduceat(np.exp(responses, out=responses), (0,) if starts is None else starts, axis=2)
+    np.log(np.maximum(pooled, KERNEL_EPS, out=pooled), out=pooled)
+    features = np.ascontiguousarray(pooled.mean(axis=1).T)  # BLAS rounds a transposed view differently
+    return features[0] if starts is None else features
 
 
 def node_features(

@@ -146,6 +146,11 @@ class TestFileVectors:
             np.testing.assert_array_equal(provider.embed_tokens(["a", "b", "a"]), expected)
             assert calls == ["a", "b", "a"]
 
+    @pytest.mark.parametrize("tokens", [[], ["cat"], ["cat", "bird", "cat"]])
+    def test_embed_tokens_shape_is_tokens_by_dim(self, tmp_path, tokens):
+        for provider in (HashedGaussianVectors(seed=7, dim=3), FileVectors(self.write(tmp_path, "cat 1 0 2\n"))):
+            assert provider.embed_tokens(tokens).shape == (len(tokens), 3)
+
     def test_describe_round_trip(self, tmp_path):
         provider = FileVectors(self.write(tmp_path, "cat 1 0\n"))
         clone = provider_from_description(provider.describe())

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgdial.corpus import Corpus, KnowledgeSnippet, SynthParams, synth_corpus
-from kgdial.embedding import FileVectors, HashedGaussianVectors, embed_pair
+from kgdial.embedding import FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
     EXACT_MU,
@@ -85,6 +86,11 @@ class TestKernelBank:
             default_kernel_bank(1)
 
 
+# Vector entries of magnitude 1e-3 to 1e10, log-uniform: a 1e150 scale-up overflows many squared norms.
+nonzero_entries = st.tuples(st.floats(-3.0, 10.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[1] * 10.0 ** t[0])
+scale_exponents = st.one_of(st.just(150.0), st.floats(0.0, 150.0))
+
+
 class TestTranslationMatrix:
     def test_identical_vectors_give_1(self):
         provider = FixedProvider({"a": [3.0, 4.0]})
@@ -106,6 +112,25 @@ class TestTranslationMatrix:
         matrix = translation_matrix(pair_of(provider, "q oov", "q oov"))
         np.testing.assert_allclose(matrix[0, 0], 1.0, atol=1e-12)
         np.testing.assert_array_equal([matrix[0, 1], matrix[1, 0], matrix[1, 1]], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("knowledge, cosine", [([1e200, 0.0], 1.0 / math.sqrt(2.0)), ([1.0, 1.0], 1.0)])
+    def test_overflowing_norm_keeps_cosine(self, knowledge, cosine):
+        pair = PairEmbedding(np.array([[1e200, 1e200]]), np.array([knowledge]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = translation_matrix(pair)
+        assert abs(matrix[0, 0] - cosine) <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        vectors=st.lists(st.lists(nonzero_entries, min_size=3, max_size=3), min_size=2, max_size=6),
+        exponents=st.tuples(scale_exponents, scale_exponents),
+    )
+    def test_scaling_up_to_1e150_keeps_cosines(self, vectors, exponents):
+        question, knowledge = np.array(vectors[:1]), np.array(vectors[1:])
+        reference = translation_matrix(PairEmbedding(question, knowledge))
+        scaled = PairEmbedding(question * 10.0 ** exponents[0], knowledge * 10.0 ** exponents[1])
+        np.testing.assert_allclose(translation_matrix(scaled), reference, rtol=0, atol=1e-12)
 
     def test_entries_bounded(self):
         provider = HashedGaussianVectors(seed=1, dim=6)
@@ -382,6 +407,17 @@ class TestBatchCore:
             np.testing.assert_allclose(gradient, expected_gradient, rtol=0, atol=1e-12)
 
 
+# Tokens of the property test below; the vector file leaves the last two out of its vocabulary.
+WORDS = ["w0", "w1", "w2", "w3", "w4", "oov"]
+
+
+@pytest.fixture(scope="module")
+def vector_providers(tmp_path_factory):
+    path = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    path.write_text("w0 1 0 0\nw1 0 1 0\nw2 0.5 0.5 1\nw3 -1 2 0.25\n")
+    return [HashedGaussianVectors(seed=7, dim=4), FileVectors(path)]
+
+
 class TestBatchedNodeFeatures:
     """One batched pass over all candidates against the oracle and a per-candidate loop."""
 
@@ -423,6 +459,25 @@ class TestBatchedNodeFeatures:
             for i in range(64)
         ]
         self.check("t1 t2 t3 t4 t5", candidates, provider7, bank11)
+
+    @settings(deadline=None, max_examples=25)
+    @given(case=st.data())
+    def test_matches_oracle_and_per_segment_pooling(self, vector_providers, bank11, case):
+        def text(n_tokens):
+            return " ".join(case.draw(st.lists(st.sampled_from(WORDS), min_size=n_tokens, max_size=n_tokens)))
+
+        provider = case.draw(st.sampled_from(vector_providers))
+        question = text(case.draw(st.one_of(st.integers(1, 8), st.integers(65, 80))))
+        lengths = case.draw(st.lists(st.one_of(st.just(1), st.integers(2, 12), st.integers(129, 140)),
+                                     min_size=1, max_size=8))
+        candidates = [snippet(str(i), text(n)) for i, n in enumerate(lengths)]
+        self.check(question, candidates, provider, bank11)
+        pair = embed_pair(provider, question, candidates)
+        matrix = translation_matrix(pair)
+        bounds = [*pair.knowledge_starts, pair.p]
+        pooled = kernel_features(matrix, bank11, pair.knowledge_starts)
+        for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            np.testing.assert_allclose(pooled[row], kernel_features(matrix[:, a:b], bank11), rtol=0, atol=1e-12)
 
 
 class TestRank:
