@@ -156,8 +156,9 @@ def load_knowledge(
 ) -> tuple[dict[tuple[str, str], list[KnowledgeSnippet]], dict[tuple[str, str], str]]:
     """Parse a knowledge file into snippet lists keyed by (domain, entity_id).
 
-    Rejects duplicate keys, empty titles, and entities without documents.
-    Returns the snippet map and the entity display names.
+    Rejects duplicate keys, empty titles, entities without documents, and
+    names that are neither a string nor null. Returns the snippet map and the
+    entity display names; a missing or null name is "".
     """
     raw = _read_json(knowledge_path, reject_duplicate_keys=True)
     if not isinstance(raw, dict):
@@ -178,7 +179,12 @@ def load_knowledge(
                     f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): 'docs' must be a non-empty object"
                 )
             key = (domain, entity_id)
-            names[key] = str(entity.get("name", ""))
+            name = entity.get("name")
+            if name is not None and not isinstance(name, str):
+                raise CorpusError(
+                    f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): 'name' must be a string"
+                )
+            names[key] = name or ""
             listed = []
             for doc_id, doc in docs.items():
                 if not isinstance(doc, dict) or not isinstance(doc.get("title"), str):
@@ -231,7 +237,11 @@ def _parse_label(labels_path, index: int, raw_label) -> tuple[bool, SnippetRef |
     if not isinstance(raw_label, dict) or not isinstance(raw_label.get("target"), bool):
         raise CorpusError(f"{labels_path}: dialog {dialog_id}: label must carry a boolean 'target'")
     target = raw_label["target"]
-    knowledge = raw_label.get("knowledge") or []
+    knowledge = raw_label.get("knowledge")
+    if knowledge is None:
+        knowledge = []
+    elif not isinstance(knowledge, list):
+        raise CorpusError(f"{labels_path}: dialog {dialog_id}: 'knowledge' must be an array")
     if not target:
         if knowledge:
             raise CorpusError(

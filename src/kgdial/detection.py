@@ -1,10 +1,10 @@
 """Knowledge-seeking turn detection.
 
 The dialog is flattened to one string (current user turn first, then the
-history from the beginning, every turn prefixed by its speaker tag), hashed
-into a bag of word unigrams and bigrams, extended with a one-hot turn-count
-bucket, and scored by a bias-free sigmoid linear model trained with
-full-batch gradient descent on binary log loss.
+history from the beginning, every turn prefixed by its speaker tag). Its one
+feature form is a list of columns: a hashed column per word unigram and bigram,
+then a turn-count bucket. A bias-free sigmoid linear model sums its weights at
+those columns, trained with full-batch gradient descent on binary log loss.
 
 N-grams are bucketed with CRC-32 (feature hashing needs a stable hash that
 spreads its inputs, not a cryptographic one). The hash decides which weight
@@ -58,26 +58,24 @@ def ngram_hash(ngram: str) -> int:
     return zlib.crc32(ngram.encode("utf-8"))
 
 
-def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int) -> np.ndarray:
-    """Hashed unigram+bigram counts followed by a one-hot turn-count bucket.
+def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int) -> list[int]:
+    """The dialog's feature columns: one per n-gram occurrence, then the turn bucket.
 
     Speaker tags survive tokenization as the tokens "user" and "sys". Each
-    n-gram adds 1.0 at ``ngram_hash(ngram) % hash_dim``, which reads the low
-    bits of its CRC-32 when ``hash_dim`` is a power of two; the bucket index
-    is ``min(turn_count, turn_buckets) - 1``.
+    unigram, then each bigram, adds ``ngram_hash(ngram) % hash_dim`` (the low
+    bits of its CRC-32 when ``hash_dim`` is a power of two), repeats included;
+    the bucket is ``hash_dim + min(turn_count, turn_buckets) - 1``. The dense
+    counts are ``np.bincount(columns, minlength=hash_dim + turn_buckets)``.
     """
     if hash_dim < 1 or turn_buckets < 1:
         raise ValueError(f"need hash_dim >= 1 and turn_buckets >= 1, got {hash_dim}, {turn_buckets}")
     if turn_count < 1:
         raise ValueError(f"turn_count must be >= 1, got {turn_count}")
     tokens = tokenize(serialized)
-    values = np.zeros(hash_dim + turn_buckets)
-    for gram in tokens:
-        values[ngram_hash(gram) % hash_dim] += 1.0
-    for first, second in zip(tokens, tokens[1:]):
-        values[ngram_hash(first + " " + second) % hash_dim] += 1.0
-    values[hash_dim + min(turn_count, turn_buckets) - 1] = 1.0
-    return values
+    columns = [ngram_hash(gram) % hash_dim for gram in tokens]
+    columns += [ngram_hash(first + " " + second) % hash_dim for first, second in zip(tokens, tokens[1:])]
+    columns.append(hash_dim + min(turn_count, turn_buckets) - 1)
+    return columns
 
 
 def check_detector_shape(hash_dim: int, turn_buckets: int, threshold: float) -> None:
@@ -120,12 +118,11 @@ def _sigmoid_vector(z):
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z)))
 
 
-def detect_score(model: DetectorModel, values: np.ndarray) -> float:
-    """Probability sigmoid(weights . values); raises on dimension mismatch."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != model.weights.shape:
-        raise ValueError(f"feature shape {values.shape} does not match weights {model.weights.shape}")
-    return float(_sigmoid_vector(model.weights @ values))
+def detect_score(model: DetectorModel, columns: list[int]) -> float:
+    """Probability sigmoid(weights[columns].sum()); raises on a column outside the weights."""
+    if columns and (min(columns) < 0 or max(columns) >= model.weights.size):
+        raise ValueError(f"feature columns must lie in [0, {model.weights.size}), got {min(columns)}..{max(columns)}")
+    return float(_sigmoid_vector(model.weights[columns].sum()))
 
 
 class DetectionResult(NamedTuple):
@@ -135,10 +132,10 @@ class DetectionResult(NamedTuple):
 
 def detect(model: DetectorModel, dialog: DialogInstance) -> DetectionResult:
     """Score one dialog; triggered when probability >= threshold (boundary in)."""
-    values = featurize(
+    columns = featurize(
         serialize_dialog(dialog), len(dialog.turns), model.hash_dim, model.turn_buckets
     )
-    probability = detect_score(model, values)
+    probability = detect_score(model, columns)
     return DetectionResult(probability, probability >= model.threshold)
 
 
@@ -166,35 +163,32 @@ def train_detector(
     initialization). With ``line_search`` the step is halved until the loss
     does not increase. Deterministic for fixed inputs and hyperparameters.
 
-    Training never holds the dense n x (hash_dim + turn_buckets) matrix: a
-    dialog has a few dozen nonzero features out of thousands, so each row is
-    kept as its nonzero (row, column, count) entries and both mat-vecs are
-    ``np.bincount`` sums over them.
+    Training never holds the dense n x (hash_dim + turn_buckets) matrix: the
+    dialogs' :func:`featurize` lists are concatenated, and both mat-vecs are
+    ``np.bincount`` sums over their (row, column) pairs.
     """
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
-    row_columns, row_counts = [], []
-    for d in corpus.dialogs:
-        values = featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
-        nonzero = np.flatnonzero(values)
-        row_columns.append(nonzero)
-        row_counts.append(values[nonzero])
+    row_columns = [
+        featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
+        for d in corpus.dialogs
+    ]
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")
     n, dim = len(labels), hyper.hash_dim + hyper.turn_buckets
-    rows = np.repeat(np.arange(n), [c.size for c in row_columns])
-    columns, counts = np.concatenate(row_columns), np.concatenate(row_counts)
+    rows = np.repeat(np.arange(n), [len(c) for c in row_columns])
+    columns = np.concatenate(row_columns)
 
     def scores(weights):
-        return np.bincount(rows, weights=counts * weights[columns], minlength=n)
+        return np.bincount(rows, weights=weights[columns], minlength=n)
 
     def loss(weights):
         return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores(weights)).mean())
 
     def gradient(weights):
         residual = _sigmoid_vector(scores(weights)) - labels
-        return np.bincount(columns, weights=counts * residual[rows], minlength=dim) / n
+        return np.bincount(columns, weights=residual[rows], minlength=dim) / n
 
     weights, losses = _descend(
         loss, gradient, np.zeros(dim), hyper.lr, hyper.epochs, hyper.line_search,

@@ -107,8 +107,17 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns
     (all columns when ``starts`` is None). The responses are built in place
     in one K x m x p array, so each candidate's sum over j runs along the
-    contiguous last axis.
+    contiguous last axis. Raises ValueError unless ``starts`` begin at 0,
+    strictly increase and stay below the column count.
     """
+    if starts is not None and not (
+        len(starts) > 0 and starts[0] == 0 and starts[-1] < matrix.shape[1]
+        and all(a < b for a, b in zip(starts, starts[1:]))
+    ):
+        raise ValueError(
+            f"starts must begin at 0, strictly increase and stay below {matrix.shape[1]} columns, "
+            f"got {[int(s) for s in starts]}"
+        )
     responses = np.subtract(matrix, bank.mus[:, None, None])
     np.square(responses, out=responses)
     responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps

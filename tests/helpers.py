@@ -92,6 +92,16 @@ def oracle_ngram_index(ngram: str, hash_dim: int) -> int:
     return zlib.crc32(ngram.encode("utf-8")) % hash_dim
 
 
+def oracle_detector_features(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int) -> np.ndarray:
+    """Dense hashed unigram+bigram counts of a serialized dialog, then its one-hot turn bucket."""
+    tokens = tokenize(serialized)
+    values = np.zeros(hash_dim + turn_buckets)
+    for gram in tokens + [first + " " + second for first, second in zip(tokens, tokens[1:])]:
+        values[oracle_ngram_index(gram, hash_dim)] += 1.0
+    values[hash_dim + min(turn_count, turn_buckets) - 1] = 1.0
+    return values
+
+
 def oracle_golden_position(scores, golden_index: int) -> tuple[int, int]:
     """1-based rank of the golden candidate under (score desc, index asc), plus its tie count."""
     golden_score = scores[golden_index]

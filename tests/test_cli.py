@@ -339,6 +339,19 @@ class TestErrorHandling:
         assert err.startswith("error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_non_array_label_knowledge_reports_single_line_error(self, workdir, tmp_path, capsys):
+        labels = json.loads(open(workdir["labels"]).read())
+        index = next(i for i, label in enumerate(labels) if label["target"])
+        labels[index]["knowledge"] = {"a": 1}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(labels))
+        capsys.readouterr()
+        assert main(["train", "detect", "--knowledge", workdir["knowledge"], "--logs", workdir["logs"],
+                     "--labels", str(path), "--model", str(tmp_path / "d.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}: dialog d{index:04d}: 'knowledge' must be an array\n"
+
     @pytest.mark.parametrize("kind, edit", [
         pytest.param("selector", with_field("attention_flag", "false"), id="selector-string-flag"),
         pytest.param("selector", as_array, id="selector-array"),

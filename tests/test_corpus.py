@@ -156,6 +156,14 @@ class TestLoadCorpus:
                 {"hotel": {"1": {"docs": {"0": {"title": "q?", "body": None}}}}},
                 "doc ('hotel', '1', '0'): 'body' must be a string",
             ),
+            (
+                {"hotel": {"1": {"name": ["Inn"], "docs": {"0": {"title": "q?"}}}}},
+                "entity ('hotel', '1'): 'name' must be a string",
+            ),
+            (
+                {"hotel": {"1": {"name": 7, "docs": {"0": {"title": "q?"}}}}},
+                "entity ('hotel', '1'): 'name' must be a string",
+            ),
         ],
         ids=[
             "top-level-not-object",
@@ -168,6 +176,8 @@ class TestLoadCorpus:
             "title-missing",
             "title-not-string",
             "body-not-string",
+            "name-array",
+            "name-number",
         ],
     )
     def test_knowledge_rejection_message(self, tmp_path, knowledge, message):
@@ -175,6 +185,38 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError) as excinfo:
             load_corpus(*paths)
         assert str(excinfo.value) == f"{paths[0]}: {message}"
+
+    @pytest.mark.parametrize("name", [None, "absent"])
+    def test_null_or_missing_name_loads_empty(self, tmp_path, name):
+        knowledge = two_snippet_knowledge()
+        entity = knowledge["hotel"]["1"]
+        if name == "absent":
+            del entity["name"]
+        else:
+            entity["name"] = name
+        corpus = load_corpus(*write_files(tmp_path, knowledge, []))
+        assert corpus.entity_names[("hotel", "1")] == ""
+        out = [tmp_path / "k2.json", tmp_path / "l2.json"]
+        write_corpus(corpus, *out)
+        assert json.loads(out[0].read_text())["hotel"]["1"]["name"] == ""
+
+    @pytest.mark.parametrize("target", [True, False])
+    @pytest.mark.parametrize("knowledge", [{"a": 1}, {}, 5, 0, True, False, "", "x"],
+                             ids=["object", "empty-object", "number", "zero", "true", "false",
+                                  "empty-string", "string"])
+    def test_non_array_label_knowledge_rejected(self, tmp_path, knowledge, target):
+        logs = [[{"speaker": "U", "text": "hi"}]]
+        labels = [{"target": target, "knowledge": knowledge}]
+        paths = write_files(tmp_path, two_snippet_knowledge(), logs, labels)
+        with pytest.raises(CorpusError) as excinfo:
+            load_corpus(*paths)
+        assert str(excinfo.value) == f"{paths[2]}: dialog d0000: 'knowledge' must be an array"
+
+    def test_null_label_knowledge_means_none(self, tmp_path):
+        logs = [[{"speaker": "U", "text": "hi"}]]
+        paths = write_files(tmp_path, two_snippet_knowledge(), logs,
+                            [{"target": False, "knowledge": None}])
+        assert load_corpus(*paths).dialogs[0].golden is None
 
     def test_blank_turn_text_rejected(self, tmp_path):
         logs = [[{"speaker": "U", "text": "   "}]]

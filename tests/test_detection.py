@@ -32,7 +32,14 @@ from kgdial.detection import (
 from kgdial.embedding import tokenize
 from kgdial.evaluation import evaluate_detector
 
-from helpers import as_array, oracle_ngram_index, truncated, with_field, without_field
+from helpers import (
+    as_array,
+    oracle_detector_features,
+    oracle_ngram_index,
+    truncated,
+    with_field,
+    without_field,
+)
 
 
 def dialog(*turns):
@@ -66,16 +73,17 @@ class TestSerializeDialog:
 class TestFeaturize:
     def test_hand_hash_trace_single_token_turn(self):
         serialized = serialize_dialog(dialog((Speaker.USER, "hi")))
-        values = featurize(serialized, turn_count=1, hash_dim=8, turn_buckets=2)
+        columns = featurize(serialized, turn_count=1, hash_dim=8, turn_buckets=2)
+        assert columns == [oracle_ngram_index(gram, 8) for gram in ("user", "hi", "user hi")] + [8]
         expected = np.zeros(10)
         for gram in ("user", "hi", "user hi"):
             expected[oracle_ngram_index(gram, 8)] += 1.0
         expected[8] = 1.0
-        np.testing.assert_array_equal(values, expected)
+        np.testing.assert_array_equal(np.bincount(columns, minlength=10), expected)
 
     def test_bigrams_cross_turn_boundaries(self):
         serialized = serialize_dialog(dialog((Speaker.USER, "a"), (Speaker.USER, "b")))
-        values = featurize(serialized, turn_count=2, hash_dim=64, turn_buckets=4)
+        values = np.bincount(featurize(serialized, turn_count=2, hash_dim=64, turn_buckets=4), minlength=68)
         expected = np.zeros(68)
         grams = ["user", "b", "user", "a", "user b", "b user", "user a"]
         for gram in grams:
@@ -84,13 +92,11 @@ class TestFeaturize:
         np.testing.assert_array_equal(values, expected)
 
     def test_turn_count_clamped_to_last_bucket(self):
-        values = featurize("[User]hi", turn_count=99, hash_dim=16, turn_buckets=4)
+        values = np.bincount(featurize("[User]hi", turn_count=99, hash_dim=16, turn_buckets=4), minlength=20)
         np.testing.assert_array_equal(values[16:], [0.0, 0.0, 0.0, 1.0])
 
     def test_deterministic(self):
-        a = featurize("[User]hi there", 1, 32, 4)
-        b = featurize("[User]hi there", 1, 32, 4)
-        np.testing.assert_array_equal(a, b)
+        assert featurize("[User]hi there", 1, 32, 4) == featurize("[User]hi there", 1, 32, 4)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="turn_count"):
@@ -119,45 +125,46 @@ class TestFeaturizeProperty:
     def test_hashed_counts_and_one_hot_bucket(self, text, turn_count, hash_dim, turn_buckets):
         tokens = tokenize(text)
         assert tokens != []
-        values = featurize(text, turn_count, hash_dim, turn_buckets)
-        hashed, buckets = values[:hash_dim], values[hash_dim:]
-        assert np.all(hashed >= 0.0)
-        np.testing.assert_array_equal(hashed, np.floor(hashed))
-        assert hashed.sum() == 2 * len(tokens) - 1
-        expected = np.zeros(turn_buckets)
-        expected[min(turn_count, turn_buckets) - 1] = 1.0
-        np.testing.assert_array_equal(buckets, expected)
+        columns = featurize(text, turn_count, hash_dim, turn_buckets)
+        hashed, bucket = columns[:-1], columns[-1]
+        assert len(hashed) == 2 * len(tokens) - 1
+        assert all(type(c) is int and 0 <= c < hash_dim for c in hashed)
+        assert bucket == hash_dim + min(turn_count, turn_buckets) - 1
 
 
 class TestDetectScore:
     def test_zero_weights_give_half(self):
         model = DetectorModel(np.zeros(18), 16, 2, 0.5)
-        assert detect_score(model, np.ones(18)) == 0.5
+        assert detect_score(model, list(range(18))) == 0.5
 
     def test_unit_coordinate_gives_sigmoid_one(self):
         weights = np.zeros(18)
         weights[0] = 1.0
         model = DetectorModel(weights, 16, 2, 0.5)
-        h = np.zeros(18)
-        h[0] = 1.0
-        assert abs(detect_score(model, h) - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
+        assert abs(detect_score(model, [0]) - 1.0 / (1.0 + math.exp(-1.0))) < 1e-12
 
     def test_negated_weights_flip_probability(self):
         rng = np.random.default_rng(3)
         weights = rng.standard_normal(18)
-        h = rng.standard_normal(18)
+        h = rng.integers(0, 18, size=12).tolist()
         p = detect_score(DetectorModel(weights, 16, 2, 0.5), h)
         q = detect_score(DetectorModel(-weights, 16, 2, 0.5), h)
         assert abs(p + q - 1.0) < 1e-12
 
-    def test_dimension_mismatch(self):
+    def test_out_of_range_column_rejected(self):
         model = DetectorModel(np.zeros(18), 16, 2, 0.5)
-        with pytest.raises(ValueError, match="does not match"):
-            detect_score(model, np.zeros(17))
+        for columns in ([-1], [18], [0, 5, 18], [-19, 3]):
+            with pytest.raises(ValueError, match=r"feature columns must lie in \[0, 18\)"):
+                detect_score(model, columns)
+
+    def test_repeated_column_counts_each_time(self):
+        weights = np.zeros(18)
+        weights[3] = 0.75
+        model = DetectorModel(weights, 16, 2, 0.5)
+        assert detect_score(model, [3, 3, 17]) == detect_score(DetectorModel(2 * weights, 16, 2, 0.5), [3])
 
     def test_monotone_in_positive_coordinate(self):
-        h = np.zeros(18)
-        h[5] = 2.0
+        h = [5, 5]
         weights = np.zeros(18)
         low = detect_score(DetectorModel(weights.copy(), 16, 2, 0.5), h)
         weights[5] = 0.5
@@ -252,9 +259,9 @@ class TestTrainDetector:
 
 
 def dense_reference(corpus, hyper):
-    """Straight-line trainer on the dense n x dim feature matrix: two mat-vecs per epoch."""
+    """Straight-line trainer on the dense n x dim oracle feature matrix: two mat-vecs per epoch."""
     matrix = np.array([
-        featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
+        oracle_detector_features(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
         for d in corpus.dialogs
     ])
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
@@ -323,6 +330,13 @@ class TestDetect:
         model, _ = small_detector
         target = next(d for d in small_corpus.dialogs if d.target)
         assert detect(model, target).triggered is True
+
+    def test_probability_matches_dense_oracle(self, small_corpus, small_detector):
+        model, _ = small_detector
+        for d in small_corpus.dialogs:
+            x = oracle_detector_features(serialize_dialog(d), len(d.turns), model.hash_dim, model.turn_buckets)
+            expected = 1.0 / (1.0 + math.exp(-float(model.weights @ x)))
+            assert abs(detect(model, d).probability - expected) <= 1e-15
 
 
 class TestPersistence:

@@ -162,6 +162,17 @@ class TestKernelFeatures:
         features = kernel_features(np.array([[-1.0]]), two_kernel_bank())
         assert features[-1] == math.log(KERNEL_EPS)
 
+    @pytest.mark.parametrize("starts", [(0, 3, 2), (0, 0, 2), (1, 2), (0, 9), (0, 4), (), np.array([0, 2, 2])])
+    def test_bad_starts_rejected(self, starts):
+        with pytest.raises(ValueError, match="starts must begin at 0, strictly increase and stay below 4 columns"):
+            kernel_features(np.zeros((1, 4)), two_kernel_bank(), starts)
+
+    def test_valid_starts_accepted(self):
+        matrix = np.array([[1.0, 1.0, -1.0, 1.0]])
+        for starts in [(0,), (0, 3), np.array([0, 1, 2, 3])]:
+            features = kernel_features(matrix, two_kernel_bank(), starts)
+            assert features.shape == (len(starts), 2)
+
     def test_mean_over_query_rows(self):
         matrix = np.array([[1.0], [-1.0]])
         features = kernel_features(matrix, two_kernel_bank())
