@@ -10,7 +10,7 @@ and optional per-dialog labels. All three files are UTF-8 JSON:
   "text": ...}``
 * labels: array aligned by index with logs, each
   ``{"target": bool, "knowledge": [{"domain", "entity_id", "doc_id"}],
-  "response": ...}``
+  "response": ...}``, the three reference fields strings
 
 Dialog ids are positional (``d0000``, ``d0001``, ...) and are regenerated on
 load. Loaded corpora are immutable by convention and safe for concurrent
@@ -64,7 +64,8 @@ class KnowledgeSnippet(NamedTuple):
 
     @property
     def ref(self) -> SnippetRef:
-        return SnippetRef(self.domain, self.entity_id, self.doc_id)
+        # tuple.__new__ skips the Python-level NamedTuple constructor; same type and value.
+        return tuple.__new__(SnippetRef, self[:3])
 
     @property
     def text(self) -> str:
@@ -255,12 +256,12 @@ def _parse_label(labels_path, index: int, raw_label) -> tuple[bool, SnippetRef |
     entry = knowledge[0]
     if not isinstance(entry, dict):
         raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry must be an object")
-    try:
-        ref = SnippetRef(str(entry["domain"]), str(entry["entity_id"]), str(entry["doc_id"]))
-    except KeyError as exc:
-        raise CorpusError(
-            f"{labels_path}: dialog {dialog_id}: knowledge entry missing {exc.args[0]!r}"
-        ) from None
+    for key in SnippetRef._fields:
+        if key not in entry:
+            raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry missing {key!r}")
+        if not isinstance(entry[key], str):
+            raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry {key!r} must be a string")
+    ref = SnippetRef(entry["domain"], entry["entity_id"], entry["doc_id"])
     response = raw_label.get("response")
     if response is not None and not isinstance(response, str):
         raise CorpusError(f"{labels_path}: dialog {dialog_id}: 'response' must be a string")

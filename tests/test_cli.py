@@ -352,6 +352,17 @@ class TestErrorHandling:
         assert out == ""
         assert err == f"error: {path}: dialog d{index:04d}: 'knowledge' must be an array\n"
 
+    def test_non_string_golden_reference_reports_single_line_error(self, workdir, tmp_path, capsys):
+        labels = json.loads(open(workdir["labels"]).read())
+        index = next(i for i, label in enumerate(labels) if label["target"])
+        labels[index]["knowledge"][0]["entity_id"] = 1
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(labels))
+        capsys.readouterr()
+        assert main(["train", "select", "--knowledge", workdir["knowledge"], "--logs", workdir["logs"],
+                     "--labels", str(path), "--model", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: dialog d{index:04d}: knowledge entry 'entity_id' must be a string\n")
+
     @pytest.mark.parametrize("kind, edit", [
         pytest.param("selector", with_field("attention_flag", "false"), id="selector-string-flag"),
         pytest.param("selector", as_array, id="selector-array"),

@@ -212,6 +212,16 @@ class TestLoadCorpus:
             load_corpus(*paths)
         assert str(excinfo.value) == f"{paths[2]}: dialog d0000: 'knowledge' must be an array"
 
+    @pytest.mark.parametrize("value", [1, ["hotel"], None, True], ids=["int", "list", "null", "bool"])
+    @pytest.mark.parametrize("key", ["domain", "entity_id", "doc_id"])
+    def test_non_string_golden_reference_field_rejected(self, tmp_path, key, value):
+        logs = [[{"speaker": "U", "text": "any parking?"}]]
+        entry = {"domain": "hotel", "entity_id": "1", "doc_id": "0"} | {key: value}
+        paths = write_files(tmp_path, two_snippet_knowledge(), logs, [{"target": True, "knowledge": [entry]}])
+        with pytest.raises(CorpusError) as excinfo:
+            load_corpus(*paths)
+        assert str(excinfo.value) == f"{paths[2]}: dialog d0000: knowledge entry {key!r} must be a string"
+
     def test_null_label_knowledge_means_none(self, tmp_path):
         logs = [[{"speaker": "U", "text": "hi"}]]
         paths = write_files(tmp_path, two_snippet_knowledge(), logs,
@@ -382,6 +392,12 @@ class TestDomainTypes:
         snippet = KnowledgeSnippet("d", "e", "0", "q?", "a.")
         assert snippet.text == "q? a."
         assert snippet.ref == SnippetRef("d", "e", "0")
+
+    def test_snippet_ref_is_a_snippet_ref(self):
+        ref = KnowledgeSnippet("d", "e", "0", "q?", "a.").ref
+        assert type(ref) is SnippetRef
+        assert ref == SnippetRef("d", "e", "0") and hash(ref) == hash(SnippetRef("d", "e", "0"))
+        assert ref._asdict() == {"domain": "d", "entity_id": "e", "doc_id": "0"}
 
     def test_snippet_is_an_immutable_tuple_of_its_fields(self):
         snippet = KnowledgeSnippet("d", "e", "0", "q?", "a.")

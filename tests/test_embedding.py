@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kgdial.corpus import Corpus, KnowledgeSnippet
 from kgdial.embedding import (
+    _TOKEN_RE,
     EMPTY_TOKEN,
     FileVectors,
     HashedGaussianVectors,
@@ -41,6 +44,17 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("gate 12b") == ["gate", "12b"]
+
+    # Text at the edge of the ASCII fast path: case mappings into or out of
+    # ASCII, underscore, control and full-width characters, no text.
+    @pytest.mark.parametrize("text", ["\u212a", "İstanbul", "straße", "snake_case", "\x00", "１２", ""],
+                             ids=["kelvin", "dotted-i", "sharp-s", "underscore", "nul", "fullwidth-digits", "empty"])
+    def test_matches_unicode_class_on_pinned_text(self, text):
+        assert tokenize(text) == (_TOKEN_RE.findall(text.lower()) or [EMPTY_TOKEN])
+
+    @given(st.text(st.sampled_from("aZ09 _-.?\x00\t") | st.characters(), max_size=40))
+    def test_matches_unicode_class(self, text):
+        assert tokenize(text) == (_TOKEN_RE.findall(text.lower()) or [EMPTY_TOKEN])
 
 
 class TestHashedGaussianVectors:
@@ -81,6 +95,18 @@ class TestHashedGaussianVectors:
         matrix = provider.embed_tokens(["a", "b"])
         assert matrix.shape == (2, 16)
         np.testing.assert_array_equal(matrix[0], provider.embed("a"))
+
+    def test_growing_table_gathers_the_embed_vectors(self):
+        tokens = [f"t{i}" for i in range(300)]
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        first = provider.embed_tokens(tokens[:5])
+        matrix = provider.embed_tokens(tokens)
+        provider.embed_tokens(["late", *tokens[::7]])
+        np.testing.assert_array_equal(first, matrix[:5])
+        np.testing.assert_array_equal(matrix, np.stack([provider.embed(t) for t in tokens]))
+        reversed_first = HashedGaussianVectors(seed=7, dim=4)
+        reversed_first.embed_tokens(tokens[::-1])
+        np.testing.assert_array_equal(reversed_first.embed_tokens(tokens), matrix)
 
     def test_describe_round_trip(self):
         provider = HashedGaussianVectors(seed=7, dim=16)
@@ -130,8 +156,9 @@ class TestFileVectors:
         with pytest.raises(ValueError, match="no vectors"):
             FileVectors(self.write(tmp_path, "\n"))
 
-    def test_embed_tokens_calls_the_class_embed_per_token(self, tmp_path, monkeypatch):
-        # A wrapper patched over a provider class's `embed` must see every token.
+    def test_embed_tokens_calls_embed_once_per_unstored_token(self, tmp_path, monkeypatch):
+        # A wrapper patched over a provider class's `embed` sees each token the
+        # provider has not stored yet, once; a stored or file-loaded token is gathered.
         def counting(original):
             def embed(provider, token):
                 calls.append(token)
@@ -139,12 +166,27 @@ class TestFileVectors:
 
             return embed
 
-        for provider in (HashedGaussianVectors(seed=7, dim=2), FileVectors(self.write(tmp_path, "a 1.0 2.0\n"))):
+        tokens = ["a", "b", "c", "b", "a"]
+        hashed = HashedGaussianVectors(seed=7, dim=2)
+        for provider in (hashed, FileVectors(self.write(tmp_path, "a 1.0 2.0\n"))):
+            provider.embed("a")
             calls = []
-            expected = [provider.embed(t) for t in ("a", "b", "a")]
             monkeypatch.setattr(type(provider), "embed", counting(type(provider).embed))
-            np.testing.assert_array_equal(provider.embed_tokens(["a", "b", "a"]), expected)
-            assert calls == ["a", "b", "a"]
+            matrix = provider.embed_tokens(tokens)
+            assert calls == (["b", "c"] if provider is hashed else [])
+            np.testing.assert_array_equal(matrix, np.stack([provider.embed(t) for t in tokens]))
+            calls.clear()
+            provider.embed_tokens(tokens)
+            assert calls == []
+
+    @pytest.mark.parametrize("token", ["cat", "bird"], ids=["stored", "out-of-vocabulary"])
+    def test_embed_rows_are_read_only(self, tmp_path, token):
+        for provider in (HashedGaussianVectors(seed=7, dim=2), FileVectors(self.write(tmp_path, "cat 1.0 2.0\n"))):
+            row = provider.embed(token)
+            before = provider.embed_tokens(["cat", "bird"])
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 5.0
+            np.testing.assert_array_equal(provider.embed_tokens(["cat", "bird"]), before)
 
     @pytest.mark.parametrize("tokens", [[], ["cat"], ["cat", "bird", "cat"]])
     def test_embed_tokens_shape_is_tokens_by_dim(self, tmp_path, tokens):
