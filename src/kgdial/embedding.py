@@ -9,16 +9,21 @@ and compared by cosine. Two providers are available:
 * :class:`FileVectors` reads pretrained vectors from a text file
   (``token v_1 ... v_d`` per line); unknown tokens embed to the zero vector.
 
-Question/knowledge token sequences are truncated to 64 and 128 tokens.
+Text that is ASCII (once lowercased, if it was not) is tokenized in C: one
+byte-table translate folds case and turns every byte that is not a letter or
+digit into a space, and ``str.split`` cuts the result. Question/knowledge
+token sequences are truncated to 64 and 128 tokens.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,21 +38,25 @@ MAX_KNOWLEDGE_TOKENS = 128
 
 # Unicode alphanumeric runs, underscore excluded.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-# The same runs on ASCII text, where after lowercasing they are [a-z0-9].
-_ASCII_TOKEN_RE = re.compile(r"[a-z0-9]+")
+# Byte table of the ASCII path: A-Z fold to a-z, a-z and 0-9 stay, every other byte becomes a space.
+_ASCII_FOLD = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 32 for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs, dropping empty pieces.
 
     Returns ``[EMPTY_TOKEN]`` when the text has no alphanumeric character.
-    Text that is ASCII once lowercased (U+212A KELVIN SIGN lowercases to
-    ``k``) is split with the plain ``[a-z0-9]+`` class, which gives the same
-    tokens as the Unicode class at a fraction of its cost.
+    ASCII text is translated by the ``_ASCII_FOLD`` byte table and cut by
+    ``str.split``, which gives the same tokens as the Unicode class at a
+    fraction of its cost. Other text is lowercased first and takes the same
+    path if it is ASCII then (U+212A KELVIN SIGN lowercases to ``k``); if
+    not, it is split by the Unicode class.
     """
-    text = text.lower()
-    tokens = (_ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE).findall(text)
-    return tokens if tokens else [EMPTY_TOKEN]
+    if not text.isascii():
+        text = text.lower()
+        if not text.isascii():
+            return _TOKEN_RE.findall(text) or [EMPTY_TOKEN]
+    return text.encode().translate(_ASCII_FOLD).decode().split() or [EMPTY_TOKEN]
 
 
 class _TokenVectors:
@@ -217,7 +226,7 @@ class PairEmbedding:
 
     def __post_init__(self):
         m, d, starts = self.m, self.dim, self.knowledge_starts
-        widths = [end - start for start, end in zip(starts, (*starts[1:], self.p))]
+        widths = list(map(operator.sub, (*starts[1:], self.p), starts))
         if m < 1 or d < 2 or starts[:1] != (0,) or min(widths) < 1:
             raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths}, d={d}")
         if m > MAX_QUESTION_TOKENS or max(widths) > MAX_KNOWLEDGE_TOKENS:
@@ -246,11 +255,15 @@ def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> P
     if not candidates:
         raise ValueError("candidates must be non-empty")
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-    starts, k_tokens = [], []
-    for snippet in candidates:
-        starts.append(len(k_tokens))
-        k_tokens += tokenize(snippet.text)[:MAX_KNOWLEDGE_TOKENS]
-    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens), tuple(starts))
+    # " ".join((title, body)) is the snippet's ``text``, without a Python-level property call.
+    k_lists = list(map(tokenize, map(" ".join, map(operator.attrgetter("title", "body"), candidates))))
+    widths = list(map(len, k_lists))
+    if max(widths) > MAX_KNOWLEDGE_TOKENS:
+        k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
+        widths = list(map(len, k_lists))
+    starts = tuple(accumulate(widths[:-1], initial=0))
+    k_tokens = list(chain.from_iterable(k_lists))
+    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens), starts)
 
 
 @dataclass
@@ -262,17 +275,10 @@ class Vocabulary:
 
 
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
-    """Count, per token, the snippet texts it appears in."""
-    vocab = Vocabulary()
-    for snippets in corpus.snippets.values():
-        for snippet in snippets:
-            vocab.n_documents += 1
-            seen_here = set()
-            for token in tokenize(snippet.text):
-                if token not in seen_here:
-                    seen_here.add(token)
-                    vocab.doc_freq[token] = vocab.doc_freq.get(token, 0) + 1
-    return vocab
+    """Count, per token, the snippet texts it appears in; tokens keep their order of first appearance."""
+    texts = [snippet.text for snippets in corpus.snippets.values() for snippet in snippets]
+    doc_freq = Counter(chain.from_iterable(map(dict.fromkeys, map(tokenize, texts))))
+    return Vocabulary(dict(doc_freq), len(texts))
 
 
 def _tfidf_weights(tokens: list[str], vocab: Vocabulary) -> dict[str, float]:

@@ -14,7 +14,9 @@ knowledge tokens, clamped at 1e-10, logged, then averaged over query tokens.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +114,7 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     """
     if starts is not None and not (
         len(starts) > 0 and starts[0] == 0 and starts[-1] < matrix.shape[1]
-        and all(a < b for a, b in zip(starts, starts[1:]))
+        and all(map(operator.lt, starts, starts[1:]))
     ):
         raise ValueError(
             f"starts must begin at 0, strictly increase and stay below {matrix.shape[1]} columns, "
@@ -343,7 +345,9 @@ def selection_distribution(
 ) -> SelectionDistribution:
     """End-to-end distribution over the given candidates for one question."""
     features = node_features(question, candidates, provider, model.kernels)
-    return readout(features, model, tuple(c.ref for c in candidates))
+    # Each candidate's ``ref`` (same type and value), built without a Python frame per candidate.
+    refs = tuple(map(partial(tuple.__new__, SnippetRef), map(operator.itemgetter(slice(0, 3)), candidates)))
+    return readout(features, model, refs)
 
 
 def rank(

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kgdial.corpus import Corpus, KnowledgeSnippet
 from kgdial.embedding import (
     _TOKEN_RE,
     EMPTY_TOKEN,
+    MAX_KNOWLEDGE_TOKENS,
     FileVectors,
     HashedGaussianVectors,
     PairEmbedding,
@@ -46,11 +47,22 @@ class TestTokenize:
         assert tokenize("gate 12b") == ["gate", "12b"]
 
     # Text at the edge of the ASCII fast path: case mappings into or out of
-    # ASCII, underscore, control and full-width characters, no text.
-    @pytest.mark.parametrize("text", ["\u212a", "İstanbul", "straße", "snake_case", "\x00", "１２", ""],
-                             ids=["kelvin", "dotted-i", "sharp-s", "underscore", "nul", "fullwidth-digits", "empty"])
+    # ASCII, underscore, control and full-width characters, the controls
+    # str.split() takes for whitespace, no text.
+    @pytest.mark.parametrize("text", ["\u212a", "İstanbul", "straße", "snake_case", "\x00", "１２",
+                                      "a\tb\nc\vd\fe\rf\x1cg\x1dh\x1ei\x1fj", ""],
+                             ids=["kelvin", "dotted-i", "sharp-s", "underscore", "nul", "fullwidth-digits",
+                                  "split-whitespace", "empty"])
     def test_matches_unicode_class_on_pinned_text(self, text):
         assert tokenize(text) == (_TOKEN_RE.findall(text.lower()) or [EMPTY_TOKEN])
+
+    # Every ASCII code point alone, between two letters and next to a digit.
+    @pytest.mark.parametrize("template", ["{}", "a{}B", "{}7", "7{}"],
+                             ids=["alone", "between-letters", "before-digit", "after-digit"])
+    def test_matches_unicode_class_on_every_ascii_character(self, template):
+        for code in range(128):
+            text = template.format(chr(code))
+            assert tokenize(text) == (_TOKEN_RE.findall(text.lower()) or [EMPTY_TOKEN]), repr(text)
 
     @given(st.text(st.sampled_from("aZ09 _-.?\x00\t") | st.characters(), max_size=40))
     def test_matches_unicode_class(self, text):
@@ -257,6 +269,27 @@ class TestEmbedPair:
         assert pair.knowledge_starts == (0, 3, 4)
         np.testing.assert_array_equal(pair.knowledge_vectors[3], provider.embed("d"))
 
+    # Words for both tokenizer paths; "x_y" and "A-B" give two tokens each.
+    WORDS = ["parking", "Free", "w01", "Ünï", "\u212aelvin", "x_y", "A-B"]
+
+    @given(st.lists(st.tuples(st.integers(1, 140), st.integers(0, 140), st.integers(0, 6)), min_size=1, max_size=6))
+    @example([(3, 3, 0), (140, 20, 1), (1, 0, 2)])  # the first snippet is title-only
+    @example([(2, 1, 3), (129, 60, 0)])  # 129 tokens, one past the cap
+    def test_stacks_like_a_per_candidate_loop(self, shapes):
+        items = []
+        for i, (n, split, offset) in enumerate(shapes):
+            words = [self.WORDS[(offset + j * j) % len(self.WORDS)] for j in range(n)]
+            split = min(split, n)
+            items.append(snippet(str(i), " ".join(words[:split]) + "?", " ".join(words[split:])))
+        provider = HashedGaussianVectors(seed=7, dim=2)
+        pair = embed_pair(provider, "q", items)
+        starts, rows = [], []
+        for item in items:
+            starts.append(len(rows))
+            rows += [provider.embed(t) for t in tokenize(item.title + " " + item.body)[:MAX_KNOWLEDGE_TOKENS]]
+        assert pair.knowledge_starts == tuple(starts)
+        np.testing.assert_array_equal(pair.knowledge_vectors, np.stack(rows))
+
     def test_empty_and_overlong_segments_rejected(self):
         question = np.ones((1, 2))
         with pytest.raises(ValueError, match="p >= 1 per snippet"):
@@ -357,6 +390,19 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(corpus)
         assert vocab.doc_freq == {"alpha": 1, "beta": 2, "gamma": 1}
         assert vocab.n_documents == 2
+
+    def test_tokens_in_order_of_first_appearance(self):
+        corpus = Corpus({
+            ("d", "e"): [snippet("0", "zeta alpha zeta kappa eta omega iota nu xi"), snippet("1", "mu alpha")],
+            ("d", "f"): [snippet("0", "beta", "zeta")],
+        }, [])
+        vocab = build_vocabulary(corpus)
+        assert type(vocab.doc_freq) is dict
+        assert list(vocab.doc_freq.items()) == [
+            ("zeta", 2), ("alpha", 2), ("kappa", 1), ("eta", 1), ("omega", 1), ("iota", 1), ("nu", 1), ("xi", 1),
+            ("mu", 1), ("beta", 1),
+        ]
+        assert vocab.n_documents == 3
 
     def test_repeated_token_counts_once_per_doc(self):
         corpus = corpus_of(snippet("0", "echo echo echo"))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, KnowledgeSnippet, SynthParams, synth_corpus
+from kgdial.corpus import Corpus, KnowledgeSnippet, SnippetRef, SynthParams, synth_corpus
 from kgdial.embedding import FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
@@ -532,6 +532,13 @@ class TestRank:
         candidates = [snippet(str(i), f"t{i}") for i in range(4)]
         ranked = rank(model, provider7, "q", candidates)
         assert [ref.doc_id for ref, _ in ranked] == ["0", "1", "2", "3"]
+
+    def test_refs_are_the_candidates_snippet_refs(self, provider7, bank11):
+        model = SelectorModel(bank11, np.zeros(11))
+        candidates = [KnowledgeSnippet("hotel", "1", str(i), f"t{i}", "b") for i in range(3)]
+        ranked = rank(model, provider7, "q", candidates)
+        assert [ref for ref, _ in ranked] == [c.ref for c in candidates]
+        assert all(type(ref) is SnippetRef for ref, _ in ranked)
 
 
 class TestScaleInvariance:
