@@ -8,6 +8,7 @@ files; reports carry no timestamp unless --stamp opts in.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from datetime import datetime, timezone
@@ -73,10 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--out", required=True, help="output directory")
     synth.add_argument("--seed", type=int, default=42)
-    synth.add_argument("--dialogs", type=int, default=SynthParams.n_dialogs)
-    synth.add_argument("--candidates", type=int, default=SynthParams.n_candidates)
+    synth.add_argument("--dialogs", dest="n_dialogs", type=int, default=SynthParams.n_dialogs)
+    synth.add_argument("--candidates", dest="n_candidates", type=int, default=SynthParams.n_candidates)
     synth.add_argument("--vocab-size", type=int, default=SynthParams.vocab_size)
-    synth.add_argument("--marker-rate", type=float, default=SynthParams.detect_marker_rate)
+    synth.add_argument("--marker-rate", dest="detect_marker_rate", type=float,
+                       default=SynthParams.detect_marker_rate)
 
     train = commands.add_parser("train", help="train a detector or selector")
     train_kind = train.add_subparsers(dest="kind", required=True)
@@ -96,8 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     select_p.add_argument("--model", required=True, help="output model JSON file")
     select_p.add_argument("--lr", type=float, default=SelectorHyper.lr)
     select_p.add_argument("--epochs", type=int, default=SelectorHyper.epochs)
-    select_p.add_argument("--kernels", type=int, default=SelectorHyper.n_kernels)
-    select_p.add_argument("--attention", action="store_true")
+    select_p.add_argument("--kernels", dest="n_kernels", type=int, default=SelectorHyper.n_kernels)
+    select_p.add_argument("--attention", dest="attention_flag", action="store_true")
     select_p.add_argument("--line-search", action="store_true")
     select_p.add_argument("--embed-seed", type=int, default=7)
     select_p.add_argument("--embed-dim", type=int, default=32)
@@ -130,14 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _from_args(cls, args):
+    """An instance of the dataclass ``cls`` with each field read from the flag of the same dest."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        n_dialogs=args.dialogs,
-        n_candidates=args.candidates,
-        vocab_size=args.vocab_size,
-        detect_marker_rate=args.marker_rate,
-    )
-    corpus = synth_corpus(args.seed, params)
+    corpus = synth_corpus(args.seed, _from_args(SynthParams, args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "knowledge.json", out / "logs.json", out / "labels.json"]
@@ -148,14 +149,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train_detect(args) -> int:
-    hyper = DetectorHyper(
-        hash_dim=args.hash_dim,
-        turn_buckets=args.turn_buckets,
-        lr=args.lr,
-        epochs=args.epochs,
-        threshold=args.threshold,
-        line_search=args.line_search,
-    )
+    hyper = _from_args(DetectorHyper, args)
     corpus = load_corpus(args.knowledge, args.logs, args.labels)
     model, losses = train_detector(corpus, hyper)
     for epoch, loss in enumerate(losses):
@@ -173,13 +167,7 @@ def cmd_train_detect(args) -> int:
 
 
 def cmd_train_select(args) -> int:
-    hyper = SelectorHyper(
-        lr=args.lr,
-        epochs=args.epochs,
-        attention_flag=args.attention,
-        n_kernels=args.kernels,
-        line_search=args.line_search,
-    )
+    hyper = _from_args(SelectorHyper, args)
     bank = default_kernel_bank(hyper.n_kernels)
     provider = (
         FileVectors(args.vectors)

@@ -64,8 +64,7 @@ class KnowledgeSnippet(NamedTuple):
 
     @property
     def ref(self) -> SnippetRef:
-        # tuple.__new__ skips the Python-level NamedTuple constructor; same type and value.
-        return tuple.__new__(SnippetRef, self[:3])
+        return SnippetRef(self.domain, self.entity_id, self.doc_id)
 
     @property
     def text(self) -> str:
@@ -131,11 +130,11 @@ def _duplicate_rejecting_pairs(pairs):
     return obj
 
 
-def _read_json(path, reject_duplicate_keys: bool = False):
+def _read_json(path):
+    """The JSON value in ``path``; a parse error or a key repeated within one object raises CorpusError."""
     text = Path(path).read_text(encoding="utf-8")
-    hook = _duplicate_rejecting_pairs if reject_duplicate_keys else None
     try:
-        return json.loads(text, object_pairs_hook=hook)
+        return json.loads(text, object_pairs_hook=_duplicate_rejecting_pairs)
     except json.JSONDecodeError as exc:
         raise CorpusError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -161,7 +160,7 @@ def load_knowledge(
     names that are neither a string nor null. Returns the snippet map and the
     entity display names; a missing or null name is "".
     """
-    raw = _read_json(knowledge_path, reject_duplicate_keys=True)
+    raw = _read_json(knowledge_path)
     if not isinstance(raw, dict):
         raise CorpusError(f"{knowledge_path}: expected a domain -> entities object")
     snippets: dict[tuple[str, str], list[KnowledgeSnippet]] = {}
@@ -273,8 +272,8 @@ def load_corpus(knowledge_path, logs_path, labels_path=None) -> Corpus:
 
     Without a labels file every dialog is unlabeled (``target`` false, no
     golden reference). Raises :class:`CorpusError` on parse errors (with
-    line/column), duplicate snippet keys, malformed turns or labels, and
-    golden references that do not resolve in the knowledge base.
+    line/column), a key repeated within one JSON object, malformed turns or
+    labels, and golden references that do not resolve in the knowledge base.
     """
     snippets, names = load_knowledge(knowledge_path)
     raw_logs = _read_json(logs_path)

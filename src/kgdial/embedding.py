@@ -188,9 +188,10 @@ class FileVectors(_TokenVectors):
 def provider_from_description(description: dict):
     """Rebuild a provider from its :meth:`describe` dictionary, as read from a model file.
 
-    A hashed-Gaussian ``seed`` and ``dim`` and a recorded file-vectors ``dim``
-    must be JSON integers, and a file-vectors ``path`` a JSON string: any
-    other value raises ValueError rather than being coerced.
+    A hashed-Gaussian ``seed``, either kind's ``dim`` and a file-vectors
+    ``path`` are required. ``seed`` and ``dim`` must be JSON integers and
+    ``path`` a JSON string: any other value raises ValueError rather than
+    being coerced, and a missing one raises KeyError.
     """
     kind = description.get("kind")
     if kind == HashedGaussianVectors.kind:
@@ -201,10 +202,10 @@ def provider_from_description(description: dict):
     if kind == FileVectors.kind:
         if type(description["path"]) is not str:
             raise ValueError(f"provider 'path' must be a string, got {description['path']!r}")
-        if "dim" in description and type(description["dim"]) is not int:
+        if type(description["dim"]) is not int:
             raise ValueError(f"provider 'dim' must be an integer, got {description['dim']!r}")
         provider = FileVectors(description["path"])
-        if "dim" in description and provider.dim != description["dim"]:
+        if provider.dim != description["dim"]:
             raise ValueError(
                 f"{description['path']}: dimension {provider.dim} "
                 f"does not match recorded {description['dim']}"

@@ -92,7 +92,7 @@ def result_to_payload(result: PipelineResult) -> dict:
     if result.selection is not None:
         payload["selection"] = {
             "probabilities": [float(p) for p in result.selection.probabilities],
-            "candidate_refs": [ref._asdict() for ref in result.selection.candidate_refs],
+            "candidate_refs": [c.ref._asdict() for c in result.selection.candidates],
         }
     if result.top_snippet is not None:
         payload["top_snippet"] = result.top_snippet._asdict()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -176,11 +175,11 @@ class SelectorModel:
 
 @dataclass(frozen=True)
 class SelectionDistribution:
-    """Per-candidate selection probabilities with their pre-softmax scores."""
+    """Per-candidate selection probabilities with their pre-softmax scores, and the candidates scored."""
 
     probabilities: np.ndarray
     scores: np.ndarray
-    candidate_refs: tuple[SnippetRef, ...] | None = None
+    candidates: tuple[KnowledgeSnippet, ...] | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -188,8 +187,8 @@ class SelectionDistribution:
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=float))
         if p.ndim != 1 or p.size < 1 or p.shape != self.scores.shape:
             raise ValueError("probabilities and scores must be equal-length vectors")
-        if self.candidate_refs is not None and len(self.candidate_refs) != p.size:
-            raise ValueError("candidate_refs length must match probabilities")
+        if self.candidates is not None and len(self.candidates) != p.size:
+            raise ValueError("candidates length must match probabilities")
         if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("probabilities must be finite, zero or positive, and sum to 1")
 
@@ -201,7 +200,7 @@ class SelectionDistribution:
 def readout(
     features: np.ndarray,
     model: SelectorModel,
-    candidate_refs: tuple[SnippetRef, ...] | None = None,
+    candidates: tuple[KnowledgeSnippet, ...] | None = None,
 ) -> SelectionDistribution:
     """Softmax over per-node readout scores, with max-subtraction for stability.
 
@@ -213,7 +212,7 @@ def readout(
     scores = features @ model.readout_weights
     shifted = scores - scores.max()
     exp = np.exp(shifted)
-    return SelectionDistribution(exp / exp.sum(), scores, candidate_refs)
+    return SelectionDistribution(exp / exp.sum(), scores, candidates)
 
 
 def selection_loss(dist: SelectionDistribution, golden_index: int) -> float:
@@ -345,9 +344,7 @@ def selection_distribution(
 ) -> SelectionDistribution:
     """End-to-end distribution over the given candidates for one question."""
     features = node_features(question, candidates, provider, model.kernels)
-    # Each candidate's ``ref`` (same type and value), built without a Python frame per candidate.
-    refs = tuple(map(partial(tuple.__new__, SnippetRef), map(operator.itemgetter(slice(0, 3)), candidates)))
-    return readout(features, model, refs)
+    return readout(features, model, tuple(candidates))
 
 
 def rank(
@@ -358,7 +355,7 @@ def rank(
     Probabilities would not do: a confident model rounds them into ties, down to 0 on underflow.
     """
     dist = selection_distribution(model, provider, question, candidates)
-    return [(dist.candidate_refs[i], float(dist.probabilities[i])) for i in rank_order(dist.scores).tolist()]
+    return [(candidates[i].ref, float(dist.probabilities[i])) for i in rank_order(dist.scores).tolist()]
 
 
 def save_selector(model: SelectorModel, provider, path) -> None:

@@ -388,6 +388,19 @@ class TestErrorHandling:
         assert err.startswith(f"error: {path}: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind, key", [
+        ("logs", "speaker"), ("labels", "target"), ("selector", "attention_flag"), ("detector", "threshold"),
+    ])
+    def test_repeated_key_names_its_path(self, workdir, tmp_path, capsys, kind, key):
+        path = tmp_path / f"{kind}.json"
+        # The repeat comes first, so the file's own value would win if repeats were allowed.
+        path.write_text(Path(workdir[kind]).read_text().replace("{", f'{{"{key}": null, ', 1))
+        files = {**workdir, kind: str(path)}
+        assert main(["pipeline", "--knowledge", files["knowledge"], "--logs", files["logs"],
+                     "--labels", files["labels"], "--detector", files["detector"], "--model", files["selector"],
+                     "--dialog", "d0000", "--entity", "synth/e0000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: duplicate key {key!r}\n")
+
     @pytest.mark.parametrize("entry", ["0.1", True])
     def test_detector_weights_must_be_numbers(self, workdir, tmp_path, capsys, entry):
         path = tmp_path / "detector.json"
@@ -465,17 +478,43 @@ class TestHyperparameterChecks:
         assert not model.exists()
 
 
+TRAIN_FLAGS = ["--knowledge", "k", "--logs", "l", "--labels", "b", "--model", "m"]
+
+
 class TestParserDefaults:
-    @pytest.mark.parametrize("argv, hyper, flag_names", [
-        (["synth", "--out", "out"], SynthParams,
-         {"n_dialogs": "dialogs", "n_candidates": "candidates", "detect_marker_rate": "marker_rate"}),
-        (["train", "detect", "--knowledge", "k", "--logs", "l", "--labels", "b", "--model", "m"],
-         DetectorHyper, {}),
-        (["train", "select", "--knowledge", "k", "--logs", "l", "--labels", "b", "--model", "m"],
-         SelectorHyper, {"attention_flag": "attention", "n_kernels": "kernels"}),
+    @pytest.mark.parametrize("argv, hyper", [
+        (["synth", "--out", "out"], SynthParams),
+        (["train", "detect", *TRAIN_FLAGS], DetectorHyper),
+        (["train", "select", *TRAIN_FLAGS], SelectorHyper),
     ])
-    def test_every_hyperparameter_defaults_to_its_field(self, argv, hyper, flag_names):
+    def test_every_hyperparameter_defaults_to_its_field(self, argv, hyper):
         args = build_parser().parse_args(argv)
         for field in dataclasses.fields(hyper):
-            value = getattr(args, flag_names.get(field.name, field.name))
+            value = getattr(args, field.name)
             assert (value, type(value)) == (field.default, type(field.default)), field.name
+
+    @pytest.mark.parametrize("argv, consumer, expected", [
+        (["synth", "--out", "out", "--dialogs", "3", "--candidates", "3", "--vocab-size", "20",
+          "--marker-rate", "0.25"], "synth_corpus",
+         SynthParams(n_dialogs=3, n_candidates=3, vocab_size=20, detect_marker_rate=0.25)),
+        (["train", "detect", *TRAIN_FLAGS, "--hash-dim", "64", "--turn-buckets", "4", "--lr", "0.3",
+          "--epochs", "7", "--threshold", "0.25", "--line-search"], "train_detector",
+         DetectorHyper(hash_dim=64, turn_buckets=4, lr=0.3, epochs=7, threshold=0.25, line_search=True)),
+        (["train", "select", *TRAIN_FLAGS, "--lr", "0.3", "--epochs", "7", "--kernels", "5",
+          "--attention", "--line-search"], "_fit",
+         SelectorHyper(lr=0.3, epochs=7, attention_flag=True, n_kernels=5, line_search=True)),
+    ])
+    def test_every_field_is_read_from_its_flag(self, monkeypatch, capsys, argv, consumer, expected):
+        assert all(getattr(expected, f.name) != f.default for f in dataclasses.fields(expected))
+        built = []
+
+        def capture(*args):
+            built.append(args[-1])  # each consumer takes the built object last
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, consumer, capture)
+        monkeypatch.setattr(cli, "load_corpus", lambda *paths: None)
+        monkeypatch.setattr(cli, "selection_instances", lambda *args: [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: captured\n"
+        assert built == [expected]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kgdial.corpus import DialogTurn, KnowledgeSnippet, Speaker
+from kgdial.corpus import DialogTurn, KnowledgeSnippet, Speaker, candidate_set
 from kgdial.detection import DetectorModel
 from kgdial.fixtures import hotel_corpus
 from kgdial.pipeline import (
@@ -137,6 +137,19 @@ class TestResultPayload:
         assert payload["top_snippet"] == {"domain": "hotel", "entity_id": "1", "doc_id": "0"}
         assert len(payload["selection"]["probabilities"]) == 8
         assert abs(sum(payload["selection"]["probabilities"]) - 1.0) < 1e-9
+
+    def test_triggered_candidate_refs_follow_stored_order(self, provider7):
+        corpus = hotel_corpus()
+        entity = ("hotel", "1")
+        corpus.snippets[entity].reverse()  # stored order differs from doc id and from rank order
+        result = run_pipeline(
+            zero_detector(), exact_match_selector(), provider7, corpus, corpus.dialogs[0], entity,
+        )
+        payload = json.loads(json.dumps(result_to_payload(result)))
+        assert payload["selection"]["candidate_refs"] == [
+            c.ref._asdict() for c in candidate_set(corpus, entity)
+        ]
+        assert payload["selection"]["candidate_refs"][-1] == payload["top_snippet"]
 
     def test_untriggered_payload_nulls(self):
         payload = result_to_payload(PipelineResult(False, 0.25))

@@ -26,6 +26,7 @@ from kgdial.selector import (
     node_features,
     rank,
     readout,
+    selection_distribution,
     save_selector,
     selection_instances,
     selection_loss,
@@ -268,8 +269,8 @@ class TestReadout:
             SelectionDistribution(np.array([0.4, 0.4]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="positive"):
             SelectionDistribution(np.array([1.5, -0.5]), np.array([0.0, 0.0]))
-        with pytest.raises(ValueError, match="candidate_refs"):
-            SelectionDistribution(np.array([1.0]), np.array([0.0]), candidate_refs=())
+        with pytest.raises(ValueError, match="candidates length"):
+            SelectionDistribution(np.array([1.0]), np.array([0.0]), candidates=())
 
 
 class TestSelectionLoss:
@@ -541,6 +542,15 @@ class TestRank:
         assert all(type(ref) is SnippetRef for ref, _ in ranked)
 
 
+class TestSelectionDistribution:
+    def test_carries_the_given_candidates_in_order(self, provider7, bank11):
+        model = SelectorModel(bank11, np.linspace(-1.0, 1.0, 11))
+        candidates = [snippet(str(i), f"t{i}") for i in (3, 0, 2, 1)]
+        dist = selection_distribution(model, provider7, "t2 t1", candidates)
+        assert dist.candidates == tuple(candidates)
+        assert all(a is b for a, b in zip(dist.candidates, candidates))
+
+
 class TestScaleInvariance:
     def test_scaled_embeddings_leave_probabilities_unchanged(self, bank11):
         base = HashedGaussianVectors(seed=2, dim=12)
@@ -674,6 +684,8 @@ class TestPersistence:
                      "provider 'path' must be a string, got 0", id="descriptor-path"),
         pytest.param(with_field("provider", {"kind": "file-vectors", "path": "missing.txt", "dim": True}),
                      "provider 'dim' must be an integer, got True", id="bool-vectors-dim"),
+        pytest.param(with_field("provider", {"kind": "file-vectors", "path": "missing.txt"}),
+                     "missing field 'dim'", id="vectors-without-dim"),
         pytest.param(with_field("mus", ["0.1"] * 11), "'mus' must be an array of numbers", id="string-mus"),
         pytest.param(with_field("mus", [float("nan")] + [0.0] * 9 + [1.0]), "mus must lie in [-1, 1]", id="nan-mu"),
         pytest.param(with_field("sigmas", [float("nan")] * 10 + [1e-3]), "sigmas must be positive", id="nan-sigma"),
