@@ -216,39 +216,35 @@ def provider_from_description(description: dict):
 
 @dataclass(frozen=True)
 class PairEmbedding:
-    """Token-level embeddings of one question (m x d) and of l knowledge snippets stacked row-wise (p x d).
+    """Token-level embeddings of one question and l knowledge snippets, stacked in one (m + p) x d matrix.
 
-    Snippet i's rows in ``knowledge_vectors`` start at ``knowledge_starts[i]``.
+    The question's m rows come first; snippet i's rows start ``knowledge_starts[i]``
+    rows after them, in candidate order. Starts are stored as a tuple of ints.
     """
 
-    question_vectors: np.ndarray
-    knowledge_vectors: np.ndarray
+    vectors: np.ndarray
+    m: int
     knowledge_starts: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        m, d, starts = self.m, self.dim, self.knowledge_starts
+        starts = tuple(map(operator.index, self.knowledge_starts))  # a float start raises TypeError
+        object.__setattr__(self, "knowledge_starts", starts)
+        m, d = self.m, self.dim
         widths = list(map(operator.sub, (*starts[1:], self.p), starts))
         if m < 1 or d < 2 or starts[:1] != (0,) or min(widths) < 1:
             raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths}, d={d}")
         if m > MAX_QUESTION_TOKENS or max(widths) > MAX_KNOWLEDGE_TOKENS:
             raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
-        if self.knowledge_vectors.shape[1] != d:
-            raise ValueError("question and knowledge dimensions differ")
-        for a in (self.question_vectors, self.knowledge_vectors):
-            if not np.isfinite(a).all():
-                raise ValueError("embedding entries must be finite")
-
-    @property
-    def m(self) -> int:
-        return self.question_vectors.shape[0]
+        if not np.isfinite(self.vectors).all():
+            raise ValueError("embedding entries must be finite")
 
     @property
     def p(self) -> int:
-        return self.knowledge_vectors.shape[0]
+        return self.vectors.shape[0] - self.m
 
     @property
     def dim(self) -> int:
-        return self.question_vectors.shape[1]
+        return self.vectors.shape[1]
 
 
 def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> PairEmbedding:
@@ -263,8 +259,8 @@ def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> P
         k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
         widths = list(map(len, k_lists))
     starts = tuple(accumulate(widths[:-1], initial=0))
-    k_tokens = list(chain.from_iterable(k_lists))
-    return PairEmbedding(provider.embed_tokens(q_tokens), provider.embed_tokens(k_tokens), starts)
+    tokens = list(chain(q_tokens, *k_lists))
+    return PairEmbedding(provider.embed_tokens(tokens), len(q_tokens), starts)
 
 
 @dataclass

@@ -81,18 +81,19 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 
 
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
-    """m x p cosine similarities between question and (stacked) knowledge token vectors.
+    """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    Both sides' rows are normalized together in one pass. Rows or columns
+    All rows of ``pair.vectors`` are normalized together in one pass. Rows or columns
     backed by a vector of norm < 1e-12 produce entries of 0. A row whose
     squared norm overflows is first divided by its largest magnitude, so its
     cosines are those of the same direction at a representable scale.
     """
-    vectors = np.concatenate((pair.question_vectors, pair.knowledge_vectors))
+    vectors = pair.vectors
     with np.errstate(over="ignore"):  # an overflowing row is rescaled below
         squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
     overflow = np.isinf(squares)
     if overflow.any():
+        vectors = vectors.copy()  # rescaled in place; the pair is not mutated
         vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
         squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
     norms = np.sqrt(squares, out=squares)

@@ -226,15 +226,16 @@ class TestEmbedPair:
         provider = HashedGaussianVectors(seed=7, dim=8)
         pair = embed_pair(provider, "parking", [snippet("0", "parking")])
         assert pair.m == 1 and pair.p == 1
-        np.testing.assert_array_equal(pair.question_vectors, pair.knowledge_vectors)
+        assert pair.vectors.shape == (2, 8)
+        np.testing.assert_array_equal(pair.vectors[0], pair.vectors[1])
 
     def test_bitwise_deterministic(self):
         provider = HashedGaussianVectors(seed=7, dim=8)
         item = snippet("0", "Is parking free?", "Yes it is.")
         a = embed_pair(provider, "any parking?", [item])
         b = embed_pair(provider, "any parking?", [item])
-        np.testing.assert_array_equal(a.question_vectors, b.question_vectors)
-        np.testing.assert_array_equal(a.knowledge_vectors, b.knowledge_vectors)
+        assert a.m == b.m and a.knowledge_starts == b.knowledge_starts
+        np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_truncation_caps(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
@@ -255,11 +256,36 @@ class TestEmbedPair:
         assert pair.p == 2
 
     def test_invalid_shapes_rejected(self):
-        good = np.ones((1, 2))
-        with pytest.raises(ValueError, match="dimensions differ"):
-            PairEmbedding(good, np.ones((1, 3)))
+        with pytest.raises(ValueError, match="d=1$"):
+            PairEmbedding(np.ones((2, 1)), 1)
+        with pytest.raises(ValueError, match=r"p=\[0\]"):
+            PairEmbedding(np.ones((2, 2)), 2)
+        with pytest.raises(ValueError, match="m=0"):
+            PairEmbedding(np.ones((2, 2)), 0)
         with pytest.raises(ValueError, match="finite"):
-            PairEmbedding(np.array([[np.nan, 0.0]]), good)
+            PairEmbedding(np.array([[1.0, 1.0], [np.nan, 0.0]]), 1)
+        with pytest.raises(TypeError, match="float"):
+            PairEmbedding(np.ones((4, 2)), 1, [0, 2.0])
+
+    @pytest.mark.parametrize("starts", [[0, 2], np.array([0, 2])], ids=["list", "ndarray"])
+    def test_starts_stored_as_a_tuple_of_ints(self, starts):
+        pair = PairEmbedding(np.ones((4, 2)), 1, starts)
+        assert pair.knowledge_starts == (0, 2) and type(pair.knowledge_starts) is tuple
+        assert all(type(start) is int for start in pair.knowledge_starts)
+
+    def test_gathers_all_rows_in_one_embed_tokens_call(self):
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        calls = []
+
+        class Counting:
+            def embed_tokens(self, tokens):
+                calls.append(list(tokens))
+                return provider.embed_tokens(tokens)
+
+        pair = embed_pair(Counting(), "x y", [snippet("0", "a b c"), snippet("1", "d")])
+        assert calls == [["x", "y", "a", "b", "c", "d"]]
+        assert pair.m == 2 and pair.knowledge_starts == (0, 3)
+        np.testing.assert_array_equal(pair.vectors, provider.embed_tokens(calls[0]))
 
     def test_stacks_candidates_with_segment_starts(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
@@ -267,7 +293,7 @@ class TestEmbedPair:
         pair = embed_pair(provider, "x y", items)
         assert pair.m == 2 and pair.p == 6
         assert pair.knowledge_starts == (0, 3, 4)
-        np.testing.assert_array_equal(pair.knowledge_vectors[3], provider.embed("d"))
+        np.testing.assert_array_equal(pair.vectors[pair.m + 3], provider.embed("d"))
 
     # Words for both tokenizer paths; "x_y" and "A-B" give two tokens each.
     WORDS = ["parking", "Free", "w01", "Ünï", "\u212aelvin", "x_y", "A-B"]
@@ -283,24 +309,23 @@ class TestEmbedPair:
             items.append(snippet(str(i), " ".join(words[:split]) + "?", " ".join(words[split:])))
         provider = HashedGaussianVectors(seed=7, dim=2)
         pair = embed_pair(provider, "q", items)
-        starts, rows = [], []
+        starts, rows = [], [provider.embed("q")]
         for item in items:
-            starts.append(len(rows))
+            starts.append(len(rows) - 1)
             rows += [provider.embed(t) for t in tokenize(item.title + " " + item.body)[:MAX_KNOWLEDGE_TOKENS]]
-        assert pair.knowledge_starts == tuple(starts)
-        np.testing.assert_array_equal(pair.knowledge_vectors, np.stack(rows))
+        assert pair.m == 1 and pair.knowledge_starts == tuple(starts)
+        np.testing.assert_array_equal(pair.vectors, np.stack(rows))
 
     def test_empty_and_overlong_segments_rejected(self):
-        question = np.ones((1, 2))
         with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(question, np.ones((3, 2)), (0, 2, 2))
+            PairEmbedding(np.ones((4, 2)), 1, (0, 2, 2))
         with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(question, np.ones((3, 2)), (0, 3))
+            PairEmbedding(np.ones((4, 2)), 1, (0, 3))
         with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(question, np.ones((3, 2)), (1,))
+            PairEmbedding(np.ones((4, 2)), 1, (1,))
         with pytest.raises(ValueError, match="p <= 128 per snippet"):
-            PairEmbedding(question, np.ones((130, 2)), (0, 129))
-        assert PairEmbedding(question, np.ones((256, 2)), (0, 128)).p == 256
+            PairEmbedding(np.ones((131, 2)), 1, (0, 129))
+        assert PairEmbedding(np.ones((257, 2)), 1, (0, 128)).p == 256
 
 
 class TestTfidfRank:

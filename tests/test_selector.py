@@ -116,11 +116,15 @@ class TestTranslationMatrix:
 
     @pytest.mark.parametrize("knowledge, cosine", [([1e200, 0.0], 1.0 / math.sqrt(2.0)), ([1.0, 1.0], 1.0)])
     def test_overflowing_norm_keeps_cosine(self, knowledge, cosine):
-        pair = PairEmbedding(np.array([[1e200, 1e200]]), np.array([knowledge]))
+        pair = PairEmbedding(np.array([[1e200, 1e200], knowledge]), 1)
+        before = pair.vectors.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             matrix = translation_matrix(pair)
         assert abs(matrix[0, 0] - cosine) <= 1e-12
+        # The overflowing rows are rescaled in a copy: the pair is unchanged, and a second call agrees.
+        np.testing.assert_array_equal(pair.vectors, before)
+        np.testing.assert_array_equal(translation_matrix(pair), matrix)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -129,8 +133,8 @@ class TestTranslationMatrix:
     )
     def test_scaling_up_to_1e150_keeps_cosines(self, vectors, exponents):
         question, knowledge = np.array(vectors[:1]), np.array(vectors[1:])
-        reference = translation_matrix(PairEmbedding(question, knowledge))
-        scaled = PairEmbedding(question * 10.0 ** exponents[0], knowledge * 10.0 ** exponents[1])
+        reference = translation_matrix(PairEmbedding(np.array(vectors), 1))
+        scaled = PairEmbedding(np.vstack((question * 10.0 ** exponents[0], knowledge * 10.0 ** exponents[1])), 1)
         np.testing.assert_allclose(translation_matrix(scaled), reference, rtol=0, atol=1e-12)
 
     def test_entries_bounded(self):
