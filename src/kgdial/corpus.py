@@ -131,14 +131,24 @@ def _duplicate_rejecting_pairs(pairs):
 
 
 def _read_json(path):
-    """The JSON value in ``path``; a parse error or a key repeated within one object raises CorpusError."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON value in ``path``.
+
+    Bytes that are not UTF-8, a parse error, nesting too deep for the parser
+    and a key repeated within one object raise CorpusError, its message
+    starting with the path.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
     try:
         return json.loads(text, object_pairs_hook=_duplicate_rejecting_pairs)
     except json.JSONDecodeError as exc:
         raise CorpusError(
             f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise CorpusError(f"{path}: JSON nested too deeply to parse") from None
     except CorpusError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 

@@ -22,12 +22,12 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, rank_order
+from .corpus import Corpus, KnowledgeSnippet
 
 # Sentinel emitted for text with no alphanumeric content, so every text
 # embeds to at least one row.
@@ -140,8 +140,14 @@ class FileVectors(_TokenVectors):
         self._rows = {}
         vectors = []
         dim = None
-        with open(path, encoding="utf-8") as handle:
+        # Bytes that are not UTF-8 decode to lone surrogates, which the check below finds by line.
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError(f"{path}:{lineno}: not UTF-8") from None
                 if not line.strip():
                     continue
                 parts = line.split()
@@ -247,8 +253,12 @@ class PairEmbedding:
         return self.vectors.shape[1]
 
 
-def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> PairEmbedding:
-    """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call."""
+def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[list[str], int, tuple[int, ...]]:
+    """The question's tokens then every candidate's (title and body), cut at 64 and 128 tokens.
+
+    Returns the tokens, the question's count m, and each candidate's first
+    token after the question's.
+    """
     if not candidates:
         raise ValueError("candidates must be non-empty")
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
@@ -258,58 +268,87 @@ def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> P
     if max(widths) > MAX_KNOWLEDGE_TOKENS:
         k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
         widths = list(map(len, k_lists))
-    starts = tuple(accumulate(widths[:-1], initial=0))
-    tokens = list(chain(q_tokens, *k_lists))
-    return PairEmbedding(provider.embed_tokens(tokens), len(q_tokens), starts)
+    return list(chain(q_tokens, *k_lists)), len(q_tokens), tuple(accumulate(widths[:-1], initial=0))
 
 
-@dataclass
+def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> PairEmbedding:
+    """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call."""
+    tokens, m, starts = _pair_tokens(question, candidates)
+    return PairEmbedding(provider.embed_tokens(tokens), m, starts)
+
+
+@dataclass(frozen=True)
 class Vocabulary:
-    """Per-token document frequencies over snippet texts."""
+    """Per-token document frequencies over snippet texts, with each token's id and idf weight.
 
-    doc_freq: dict[str, int] = field(default_factory=dict)
-    n_documents: int = 0
+    Tokens keep their order of first appearance; a token's id is its place in
+    that order, and ``idf[id]`` is ln((1+N)/(1+df)) + 1 with N the snippet count.
+    """
+
+    doc_freq: dict[str, int]
+    n_documents: int
+    ids: dict[str, int]
+    idf: np.ndarray
 
 
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
     """Count, per token, the snippet texts it appears in; tokens keep their order of first appearance."""
     texts = [snippet.text for snippets in corpus.snippets.values() for snippet in snippets]
-    doc_freq = Counter(chain.from_iterable(map(dict.fromkeys, map(tokenize, texts))))
-    return Vocabulary(dict(doc_freq), len(texts))
+    doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, map(tokenize, texts)))))
+    n = len(texts)
+    idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in doc_freq.values()])
+    return Vocabulary(doc_freq, n, dict(zip(doc_freq, range(len(doc_freq)))), idf)
 
 
-def _tfidf_weights(tokens: list[str], vocab: Vocabulary) -> dict[str, float]:
-    n = vocab.n_documents
-    weights = {}
-    for token, count in Counter(tokens).items():
-        df = vocab.doc_freq.get(token)
-        if df is None:
-            continue
-        weights[token] = count * (math.log((1 + n) / (1 + df)) + 1.0)
-    return weights
+def _token_weights(vocab: Vocabulary, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique ``text index * V + token id`` keys of the texts' in-vocabulary tokens, and their TF-IDF weights.
+
+    V is the vocabulary size. A weight is the token's count in the text times
+    its idf; tokens outside the vocabulary are dropped.
+    """
+    token_lists = list(map(tokenize, texts))
+    tokens = list(chain.from_iterable(token_lists))
+    ids = np.fromiter(map(vocab.ids.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    text_of = np.repeat(np.arange(len(texts)), list(map(len, token_lists)))
+    known = ids >= 0
+    keys, counts = np.unique(text_of[known] * vocab.idf.size + ids[known], return_counts=True)
+    return keys, counts * vocab.idf[keys % vocab.idf.size]
 
 
 def tfidf_rank(
-    vocab: Vocabulary, question: str, candidates: list[KnowledgeSnippet]
-) -> list[tuple[KnowledgeSnippet, float]]:
-    """Candidates with their TF-IDF cosines against the question, in :func:`~kgdial.corpus.rank_order`.
+    vocab: Vocabulary, questions: list[str], candidate_sets: list[list[KnowledgeSnippet]]
+) -> np.ndarray:
+    """n x L TF-IDF cosines of each question against its candidates, padded with -inf to the longest set.
 
-    Term frequency is the raw count; idf = ln((1+N)/(1+df)) + 1 with N the
-    vocabulary's snippet count. Question tokens outside the vocabulary are
-    dropped. Scores lie in [0, 1].
+    Row i holds question i's candidates in their given order, so
+    :func:`~kgdial.corpus.rank_order` of the row ranks them. Term frequency
+    is the raw count and idf is the vocabulary's; tokens outside the
+    vocabulary are dropped, and a question or candidate left without a
+    token scores 0. Scores lie in [0, 1]. All candidates are weighed in one
+    pass: norms and dot products are ``bincount`` sums, and each candidate
+    token finds its question's weight by ``searchsorted``.
     """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    q_weights = _tfidf_weights(tokenize(question), vocab)
-    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
-
-    scores = []
-    for snippet in candidates:
-        c_weights = _tfidf_weights(tokenize(snippet.text), vocab)
-        c_norm = math.sqrt(sum(w * w for w in c_weights.values()))
-        if q_norm < 1e-12 or c_norm < 1e-12:
-            scores.append(0.0)
-        else:
-            dot = sum(w * c_weights[t] for t, w in q_weights.items() if t in c_weights)
-            scores.append(min(max(dot / (q_norm * c_norm), 0.0), 1.0))
-    return [(candidates[i], scores[i]) for i in rank_order(scores).tolist()]
+    widths = list(map(len, candidate_sets))
+    if len(questions) != len(widths) or not widths or min(widths) < 1:
+        raise ValueError("need one non-empty candidate list per question, and at least one question")
+    n, vocab_size = sum(widths), vocab.idf.size
+    question_of = np.repeat(np.arange(len(widths)), widths)  # per candidate
+    texts = map(" ".join, map(operator.attrgetter("title", "body"), chain.from_iterable(candidate_sets)))
+    c_keys, c_weights = _token_weights(vocab, list(texts))
+    candidate, token = np.divmod(c_keys, vocab_size)
+    q_keys, q_weights = _token_weights(vocab, questions)
+    c_norms = np.sqrt(np.bincount(candidate, c_weights * c_weights, n))
+    q_norms = np.sqrt(np.bincount(q_keys // vocab_size, q_weights * q_weights, len(widths)))[question_of]
+    # Each candidate token's (question, token) key, looked up among the question's keys; a
+    # sentinel key past every other keeps the lookup in bounds.
+    wanted = question_of[candidate] * vocab_size + token
+    q_keys = np.append(q_keys, np.iinfo(np.int64).max)
+    found = np.searchsorted(q_keys, wanted)
+    matched = np.where(q_keys[found] == wanted, np.append(q_weights, 0.0)[found], 0.0)
+    dots = np.bincount(candidate, c_weights * matched, n)
+    cosines = np.zeros(n)
+    scored = (q_norms >= 1e-12) & (c_norms >= 1e-12)
+    cosines[scored] = np.clip(dots[scored] / (q_norms[scored] * c_norms[scored]), 0.0, 1.0)
+    scores = np.full((len(widths), max(widths)), -np.inf)
+    scores[np.arange(max(widths)) < np.array(widths)[:, None]] = cosines  # row-major: candidate order
+    return scores

@@ -129,15 +129,12 @@ def _rank_instances(model: SelectorModel, instances: list[SelectionInstance]) ->
 
 
 def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
-    """Golden-rank metrics for the TF-IDF baseline over the same dialogs."""
+    """Golden-rank metrics for the TF-IDF baseline over the same dialogs, all scored in one call."""
     labeled = list(labeled_candidates(corpus))
     if not labeled:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")
     vocab = build_vocabulary(corpus)
-    scores = np.full((len(labeled), max(len(c) for _, c, _ in labeled)), -np.inf)
-    for row, (dialog, candidates, _) in enumerate(labeled):
-        by_snippet = dict(tfidf_rank(vocab, dialog.current_turn.text, candidates))
-        scores[row, : len(candidates)] = [by_snippet[c] for c in candidates]
+    scores = tfidf_rank(vocab, [d.current_turn.text for d, _, _ in labeled], [c for _, c, _ in labeled])
     return _golden_metrics(scores, np.array([g for _, _, g in labeled]), "tfidf evaluation")
 
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, KnowledgeSnippet, SnippetRef, _number_array, _read_json, labeled_candidates, rank_order
 from .descent import _descend, check_schedule
-from .embedding import PairEmbedding, embed_pair, provider_from_description
+from .embedding import PairEmbedding, _pair_tokens, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
 KERNEL_EPS = 1e-10
@@ -32,6 +33,10 @@ EXACT_MU = 1.0
 EXACT_SIGMA = 1e-3
 
 SOFT_SIGMA = 0.1
+
+# Embedding rows featurized together by selection_instances: bounds its memory
+# (about 1.8 MB per call on 8- and 64-candidate corpora) whatever the corpus size.
+CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,8 @@ class KernelBank:
             raise ValueError("mus and sigmas must be equal-length vectors")
         if mus.size < 2:
             raise ValueError(f"need at least 2 kernels, got {mus.size}")
-        if not np.all(sigmas > 0):
-            raise ValueError("sigmas must be positive")
+        if not np.all((sigmas > 0) & np.isfinite(sigmas)):
+            raise ValueError("sigmas must be positive and finite")
         if not np.all(np.abs(mus) <= 1):
             raise ValueError("mus must lie in [-1, 1]")
         exact = (mus == EXACT_MU) & (sigmas == EXACT_SIGMA)
@@ -83,23 +88,31 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    All rows of ``pair.vectors`` are normalized together in one pass. Rows or columns
-    backed by a vector of norm < 1e-12 produce entries of 0. A row whose
-    squared norm overflows is first divided by its largest magnitude, so its
-    cosines are those of the same direction at a representable scale.
+    All rows of ``pair.vectors`` are normalized together in one pass by :func:`_unit_rows`:
+    a row of norm < 1e-12 gives entries of 0, and a row whose squared norm
+    overflows keeps its cosines.
     """
-    vectors = pair.vectors
+    unit = _unit_rows(pair.vectors)
+    return unit[: pair.m] @ unit[pair.m :].T
+
+
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit norm; a row of norm < 1e-12 becomes 0.
+
+    A row whose squared norm overflows is first divided by its largest
+    magnitude, in a copy, so its cosines are those of the same direction at a
+    representable scale and ``vectors`` is not mutated.
+    """
     with np.errstate(over="ignore"):  # an overflowing row is rescaled below
         squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
     overflow = np.isinf(squares)
     if overflow.any():
-        vectors = vectors.copy()  # rescaled in place; the pair is not mutated
+        vectors = vectors.copy()
         vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
         squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
     norms = np.sqrt(squares, out=squares)
     norms[norms < 1e-12] = np.inf
-    unit = vectors * (1.0 / norms)[:, None]
-    return unit[: pair.m] @ unit[pair.m :].T
+    return vectors * (1.0 / norms)[:, None]
 
 
 def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.ndarray:
@@ -288,12 +301,53 @@ def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[Sele
     """Features for every labeled knowledge-seeking dialog, in corpus order.
 
     Candidates come from the golden reference's entity; the golden index is
-    its position in the entity's stored snippet order.
+    its position in the entity's stored snippet order. Dialogs are
+    featurized in chunks of about ``CHUNK_ROWS`` embedding rows (see
+    :func:`_chunk_instances`); each row equals :func:`node_features` of its
+    dialog.
     """
-    return [
-        SelectionInstance(node_features(dialog.current_turn.text, candidates, provider, bank), golden_index)
-        for dialog, candidates, golden_index in labeled_candidates(corpus)
-    ]
+    instances, chunk, rows = [], [], 0
+    for dialog, candidates, golden_index in labeled_candidates(corpus):
+        tokens, m, starts = _pair_tokens(dialog.current_turn.text, candidates)
+        if chunk and rows + len(tokens) > CHUNK_ROWS:
+            instances += _chunk_instances(chunk, provider, bank)
+            chunk, rows = [], 0
+        chunk.append((tokens, m, starts, golden_index))
+        rows += len(tokens)
+    return instances + _chunk_instances(chunk, provider, bank) if chunk else instances
+
+
+def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionInstance]:
+    """Instances of (tokens, m, starts, golden index) dialogs: the request path's arithmetic, batched.
+
+    One ``embed_tokens`` call and one normalization cover every row; each
+    dialog gets its own m x p matmul, as on a request; then one
+    ``kernel_features`` call per question length m pools the dialogs'
+    concatenated columns, so each mean over m and each candidate's sum is
+    the one a request computes. A single-candidate dialog is pooled alone:
+    numpy sums an m x 1 response column in another order than wider ones.
+    """
+    vectors = provider.embed_tokens(list(chain.from_iterable(tokens for tokens, *_ in chunk)))
+    if not np.isfinite(vectors).all():
+        raise ValueError("embedding entries must be finite")
+    unit = _unit_rows(vectors)
+    groups: dict[object, list] = {}
+    first = 0
+    for index, (tokens, m, starts, _) in enumerate(chunk):
+        last = first + len(tokens)
+        matrix = unit[first : first + m] @ unit[first + m : last].T
+        groups.setdefault(m if len(starts) > 1 else (m, index), []).append((index, matrix, starts))
+        first = last
+    features = [None] * len(chunk)
+    for members in groups.values():
+        columns = accumulate((matrix.shape[1] for _, matrix, _ in members), initial=0)
+        starts = [column + s for column, (_, _, segment) in zip(columns, members) for s in segment]
+        pooled = kernel_features(np.concatenate([matrix for _, matrix, _ in members], axis=1), bank, starts)
+        row = 0
+        for index, _, segment in members:
+            features[index] = pooled[row : row + len(segment)]
+            row += len(segment)
+    return [SelectionInstance(f, item[3]) for f, item in zip(features, chunk)]
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,34 @@ def naive_node_features(question, candidates, provider, bank) -> np.ndarray:
     return np.array(features)
 
 
+def oracle_tfidf_scores(doc_freq: dict, n_documents: int, question: str, candidates) -> list[float]:
+    """Dict-based TF-IDF cosine of the question against each candidate, in candidate order.
+
+    Weight = raw count * (ln((1 + N) / (1 + df)) + 1); tokens outside ``doc_freq`` are dropped, and a
+    question or candidate with no weight scores 0. Sums run in each text's token order.
+    """
+
+    def weights(text):
+        result = {}
+        for token in tokenize(text):
+            if token in doc_freq:
+                result[token] = result.get(token, 0) + 1
+        return {t: c * (math.log((1 + n_documents) / (1 + doc_freq[t])) + 1.0) for t, c in result.items()}
+
+    q_weights = weights(question)
+    q_norm = math.sqrt(sum(w * w for w in q_weights.values()))
+    scores = []
+    for candidate in candidates:
+        c_weights = weights(candidate.title + " " + candidate.body)
+        c_norm = math.sqrt(sum(w * w for w in c_weights.values()))
+        if q_norm < 1e-12 or c_norm < 1e-12:
+            scores.append(0.0)
+        else:
+            dot = sum(w * c_weights[t] for t, w in q_weights.items() if t in c_weights)
+            scores.append(min(max(dot / (q_norm * c_norm), 0.0), 1.0))
+    return scores
+
+
 def oracle_ngram_index(ngram: str, hash_dim: int) -> int:
     return zlib.crc32(ngram.encode("utf-8")) % hash_dim
 
@@ -158,6 +186,20 @@ def finite_difference_gradient(loss_of_weights, weights: np.ndarray, h: float = 
 def with_field(key, value):
     """Edit of a JSON object's text that sets ``key`` to ``value``."""
     return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def with_literal(key, index, literal: str):
+    """Edit of a JSON object's text that writes ``literal`` verbatim as item ``index`` of array ``key``.
+
+    JSON reads a literal such as ``1e400`` as infinity, which ``json.dumps`` would write as ``Infinity``.
+    """
+
+    def edit(text):
+        payload = json.loads(text)
+        payload[key][index] = "<literal>"
+        return json.dumps(payload).replace('"<literal>"', literal)
+
+    return edit
 
 
 def without_field(key):

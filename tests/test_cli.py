@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from kgdial.selector import (
     save_selector,
 )
 
-from helpers import as_array, truncated, with_field, without_field
+from helpers import as_array, truncated, with_field, with_literal, without_field
 
 
 def count_calls(monkeypatch, home, name) -> list:
@@ -400,6 +401,43 @@ class TestErrorHandling:
                      "--labels", files["labels"], "--detector", files["detector"], "--model", files["selector"],
                      "--dialog", "d0000", "--entity", "synth/e0000"]) == 1
         assert capsys.readouterr() == ("", f"error: {path}: duplicate key {key!r}\n")
+
+    @pytest.mark.parametrize("kind", ["logs", "labels", "selector", "detector"])
+    def test_deeply_nested_json_names_its_path(self, workdir, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        files = {**workdir, kind: str(path)}
+        assert main(["pipeline", "--knowledge", files["knowledge"], "--logs", files["logs"],
+                     "--labels", files["labels"], "--detector", files["detector"], "--model", files["selector"],
+                     "--dialog", "d0000", "--entity", "synth/e0000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: JSON nested too deeply to parse\n")
+
+    @pytest.mark.parametrize("kind", ["labels", "selector", "vectors"])
+    def test_non_utf8_file_names_its_path(self, workdir, tmp_path, capsys, kind):
+        path = tmp_path / f"{kind}.txt"
+        if kind == "vectors":
+            path.write_bytes(b"w00 1 0\nw01 0 1\nw\xff02 1 1\n")
+            argv = ["train", "select", *workdir["corpus_flags"], "--model", str(tmp_path / "s.json"),
+                    "--vectors", str(path)]
+            message = f"{path}:3: not UTF-8"
+        else:
+            path.write_bytes(b"\xff" + Path(workdir[kind]).read_bytes())
+            files = {**workdir, kind: str(path)}
+            argv = ["eval", "--knowledge", files["knowledge"], "--logs", files["logs"], "--labels", files["labels"],
+                    "--model", files["selector"]]
+            message = f"{path}: not UTF-8: invalid start byte at byte 0"
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_infinite_kernel_width_is_rejected_at_load(self, workdir, tmp_path, capsys):
+        path = tmp_path / "selector.json"
+        path.write_text(with_literal("sigmas", 0, "1e400")(Path(workdir["selector"]).read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: sigmas must be positive and finite"):
+            load_selector(path)
+        assert main(["rank", "--knowledge", workdir["knowledge"], "--model", str(path),
+                     "--question", "w01 w02?", "--entity", "synth/e0000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: sigmas must be positive and finite\n")
 
     @pytest.mark.parametrize("entry", ["0.1", True])
     def test_detector_weights_must_be_numbers(self, workdir, tmp_path, capsys, entry):

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, KnowledgeSnippet
+from kgdial.corpus import Corpus, KnowledgeSnippet, rank_order
 from kgdial.embedding import (
     _TOKEN_RE,
     EMPTY_TOKEN,
@@ -19,6 +19,8 @@ from kgdial.embedding import (
     tfidf_rank,
     tokenize,
 )
+
+from helpers import oracle_tfidf_scores
 
 
 def snippet(doc_id, title, body=""):
@@ -147,6 +149,14 @@ class TestFileVectors:
         path = self.write(tmp_path, f"a 1 0\nb {entry} 1\n")
         with pytest.raises(ValueError, match=r"vectors\.txt:2: non-finite"):
             FileVectors(path)
+
+    def test_line_that_is_not_utf8_rejected_with_its_number(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes("café 1 0\n".encode() + b"d\xe9j\xe0 0 1\n")
+        with pytest.raises(ValueError, match=r"vectors\.txt:2: not UTF-8$"):
+            FileVectors(path)
+        path.write_bytes("café 1 0\n".encode())
+        np.testing.assert_array_equal(FileVectors(path).embed("café"), [1.0, 0.0])
 
     def test_duplicate_token_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="duplicate token"):
@@ -328,23 +338,33 @@ class TestEmbedPair:
         assert PairEmbedding(np.ones((257, 2)), 1, (0, 128)).p == 256
 
 
+def tfidf_row(candidates, question, vocab=None):
+    """The TF-IDF score row of one question against its candidates, the vocabulary built from them by default."""
+    vocab = vocab or build_vocabulary(corpus_of(*candidates))
+    return tfidf_rank(vocab, [question], [candidates])[0]
+
+
+# Tokens of the TF-IDF property test: "t" tokens fill the knowledge base, "oov" tokens only questions,
+# and "?" alone makes a snippet that tokenizes to the empty sentinel.
+TFIDF_TOKENS = ["t0", "t1", "t2", "t3", "t4", "oov0", "oov1", "?"]
+
+
 class TestTfidfRank:
     def test_identical_candidate_scores_1(self):
         candidates = [snippet("0", "is parking free"), snippet("1", "pool hours"), snippet("2", "gym hours")]
-        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "is parking free", candidates)
-        assert ranked[0][0].doc_id == "0"
-        assert abs(ranked[0][1] - 1.0) < 1e-12
-        assert all(score < 1.0 for _, score in ranked[1:])
+        scores = tfidf_row(candidates, "is parking free")
+        assert rank_order(scores)[0] == 0
+        assert abs(scores[0] - 1.0) < 1e-12
+        assert all(scores[1:] < 1.0)
 
     def test_disjoint_question_all_zero_index_order(self):
         candidates = [snippet("0", "alpha beta"), snippet("1", "gamma delta")]
-        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "epsilon zeta", candidates)
-        assert [s.doc_id for s, _ in ranked] == ["0", "1"]
-        assert [score for _, score in ranked] == [0.0, 0.0]
+        scores = tfidf_row(candidates, "epsilon zeta")
+        assert scores.tolist() == [0.0, 0.0]
+        assert rank_order(scores).tolist() == [0, 1]
 
     def test_three_candidate_hand_table(self):
         candidates = [snippet("0", "x x y"), snippet("1", "x z"), snippet("2", "z z")]
-        corpus = corpus_of(*candidates)
         n = 3
         idf = {
             "x": math.log((1 + n) / (1 + 2)) + 1.0,
@@ -367,46 +387,72 @@ class TestTfidfRank:
             cosine(question, weights({"x": 1, "z": 1})),
             cosine(question, weights({"z": 2})),
         ]
-        ranked = tfidf_rank(build_vocabulary(corpus), "x y", candidates)
-        by_doc = {s.doc_id: score for s, score in ranked}
-        for doc_id, value in zip("012", expected):
-            assert abs(by_doc[doc_id] - value) < 1e-12
-        assert [s.doc_id for s, _ in ranked] == ["0", "1", "2"]
+        scores = tfidf_row(candidates, "x y")
+        np.testing.assert_allclose(scores, expected, rtol=0, atol=1e-12)
+        assert rank_order(scores).tolist() == [0, 1, 2]
 
     def test_question_oov_tokens_dropped(self):
         candidates = [snippet("0", "alpha beta"), snippet("1", "gamma delta")]
-        corpus = corpus_of(*candidates)
-        with_oov = tfidf_rank(build_vocabulary(corpus), "qqq alpha", candidates)
-        without = tfidf_rank(build_vocabulary(corpus), "alpha", candidates)
-        assert [(s.doc_id, score) for s, score in with_oov] == [
-            (s.doc_id, score) for s, score in without
-        ]
+        vocab = build_vocabulary(corpus_of(*candidates))
+        np.testing.assert_array_equal(tfidf_row(candidates, "qqq alpha", vocab), tfidf_row(candidates, "alpha", vocab))
 
     def test_ties_keep_candidate_index_order(self):
-        candidates = [snippet("0", "alpha beta"), snippet("1", "alpha beta")]
-        ranked = tfidf_rank(build_vocabulary(corpus_of(*candidates)), "alpha", candidates)
-        assert [s.doc_id for s, _ in ranked] == ["0", "1"]
-        assert ranked[0][1] == ranked[1][1]
+        scores = tfidf_row([snippet("0", "alpha beta"), snippet("1", "alpha beta")], "alpha")
+        assert rank_order(scores).tolist() == [0, 1]
+        assert scores[0] == scores[1]
 
     def test_output_is_permutation_with_nonincreasing_scores(self):
         rng = np.random.default_rng(42)
         vocabulary = [f"t{i}" for i in range(12)]
-        for _ in range(20):
-            candidates = [
-                snippet(str(i), " ".join(rng.choice(vocabulary, size=3)))
-                for i in range(5)
-            ]
-            corpus = corpus_of(*candidates)
-            question = " ".join(rng.choice(vocabulary, size=3))
-            ranked = tfidf_rank(build_vocabulary(corpus), question, candidates)
-            assert sorted(s.doc_id for s, _ in ranked) == [str(i) for i in range(5)]
-            scores = [score for _, score in ranked]
-            assert all(a >= b for a, b in zip(scores, scores[1:]))
-            assert all(0.0 <= score <= 1.0 for score in scores)
+        candidate_sets = [
+            [snippet(str(i), " ".join(rng.choice(vocabulary, size=3))) for i in range(int(rng.integers(1, 6)))]
+            for _ in range(20)
+        ]
+        questions = [" ".join(rng.choice(vocabulary, size=3)) for _ in candidate_sets]
+        corpus = Corpus({("d", str(e)): c for e, c in enumerate(candidate_sets)}, [])
+        scores = tfidf_rank(build_vocabulary(corpus), questions, candidate_sets)
+        assert scores.shape == (20, 5)
+        for row, candidates in zip(scores, candidate_sets):
+            order = rank_order(row)
+            assert sorted(order[: len(candidates)].tolist()) == list(range(len(candidates)))
+            assert all(row[len(candidates):] == -np.inf)
+            ranked = row[order]
+            assert all(ranked[:-1] >= ranked[1:])
+            assert all((0.0 <= row[: len(candidates)]) & (row[: len(candidates)] <= 1.0))
 
     def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            tfidf_rank(build_vocabulary(corpus_of(snippet("0", "a"))), "a", [])
+        vocab = build_vocabulary(corpus_of(snippet("0", "a")))
+        for questions, candidate_sets in ((["a"], [[]]), ([], []), (["a", "b"], [[snippet("0", "a")]])):
+            with pytest.raises(ValueError, match="non-empty candidate list per question"):
+                tfidf_rank(vocab, questions, candidate_sets)
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=st.data())
+    @example(case=None)
+    def test_matches_the_dict_oracle(self, case):
+        """Repeated tokens, OOV question tokens, empty-sentinel and duplicate snippets, all-OOV questions."""
+        if case is None:  # pinned: an all-OOV question, an empty-sentinel snippet and a duplicate pair
+            entities = [["t0 t0 t1", "?", "t2 t1", "t2 t1"], ["t3"]]
+            questions = ["oov0 oov1", "t3 t3 oov0", "t1 t2 t0 t1"]
+            picks = [0, 1, 0]
+        else:
+            text = st.lists(st.sampled_from(TFIDF_TOKENS[:5] + ["?"]), min_size=1, max_size=8).map(" ".join)
+            entities = case.draw(st.lists(st.lists(text, min_size=1, max_size=6), min_size=1, max_size=5))
+            # Duplicate the first snippet of the first entity, so that ties occur.
+            entities[0] = entities[0] + entities[0][:1]
+            questions = case.draw(st.lists(st.lists(st.sampled_from(TFIDF_TOKENS), min_size=1, max_size=10).map(
+                " ".join), min_size=1, max_size=6))
+            picks = [case.draw(st.integers(0, len(entities) - 1)) for _ in questions]
+        snippets = {("d", str(e)): [snippet(str(i), t) for i, t in enumerate(texts)] for e, texts in enumerate(entities)}
+        vocab = build_vocabulary(Corpus(snippets, []))
+        candidate_sets = [snippets[("d", str(e))] for e in picks]
+        scores = tfidf_rank(vocab, questions, candidate_sets)
+        assert scores.shape == (len(questions), max(map(len, candidate_sets)))
+        for row, question, candidates in zip(scores, questions, candidate_sets):
+            expected = oracle_tfidf_scores(vocab.doc_freq, vocab.n_documents, question, candidates)
+            np.testing.assert_allclose(row[: len(candidates)], expected, rtol=0, atol=1e-12)
+            assert all(row[len(candidates):] == -np.inf)
+            assert rank_order(row).tolist()[: len(candidates)] == rank_order(expected).tolist()
 
 
 class TestBuildVocabulary:
@@ -428,6 +474,13 @@ class TestBuildVocabulary:
             ("mu", 1), ("beta", 1),
         ]
         assert vocab.n_documents == 3
+
+    def test_ids_follow_first_appearance_and_idf_is_math_log(self):
+        corpus = corpus_of(snippet("0", "beta alpha"), snippet("1", "beta gamma"), snippet("2", "delta"))
+        vocab = build_vocabulary(corpus)
+        assert vocab.ids == {"beta": 0, "alpha": 1, "gamma": 2, "delta": 3}
+        expected = [math.log(4 / (1 + df)) + 1.0 for df in (2, 1, 1, 1)]
+        assert vocab.idf.tolist() == expected
 
     def test_repeated_token_counts_once_per_doc(self):
         corpus = corpus_of(snippet("0", "echo echo echo"))

@@ -1,13 +1,24 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, KnowledgeSnippet, SnippetRef, SynthParams, synth_corpus
+from kgdial import selector
+from kgdial.corpus import (
+    Corpus,
+    DialogInstance,
+    DialogTurn,
+    KnowledgeSnippet,
+    SnippetRef,
+    Speaker,
+    SynthParams,
+    synth_corpus,
+)
 from kgdial.embedding import FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
@@ -44,6 +55,7 @@ from helpers import (
     naive_node_features,
     truncated,
     with_field,
+    with_literal,
 )
 
 
@@ -77,6 +89,10 @@ class TestKernelBank:
             KernelBank(np.array([1.0]), np.array([EXACT_SIGMA]))
         with pytest.raises(ValueError, match="positive"):
             KernelBank(np.array([0.0, 1.0]), np.array([0.0, EXACT_SIGMA]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelBank(np.array([0.0, 1.0]), np.array([np.inf, EXACT_SIGMA]))
+        with pytest.raises(ValueError, match="lie in"):
+            KernelBank(np.array([-np.inf, 1.0]), np.array([0.1, EXACT_SIGMA]))
         with pytest.raises(ValueError, match="lie in"):
             KernelBank(np.array([-1.5, 1.0]), np.array([0.1, EXACT_SIGMA]))
         with pytest.raises(ValueError, match="exact-match"):
@@ -496,6 +512,90 @@ class TestBatchedNodeFeatures:
             np.testing.assert_allclose(pooled[row], kernel_features(matrix[:, a:b], bank11), rtol=0, atol=1e-12)
 
 
+# Tokens of the selection-instance property below: the vector file leaves "w4" and "oov" out of its
+# vocabulary, and "big"'s squared norm overflows, which takes the rescaling branch.
+BATCH_WORDS = ["w0", "w1", "w2", "w3", "w4", "oov", "big"]
+
+
+@pytest.fixture(scope="module")
+def batch_providers(tmp_path_factory):
+    path = tmp_path_factory.mktemp("batch") / "vectors.txt"
+    path.write_text("w0 1 0 0\nw1 0 1 0\nw2 0.5 0.5 1\nw3 -1 2 0.25\nbig 1e200 -3e199 5e199\n")
+    return [HashedGaussianVectors(seed=7, dim=4), FileVectors(path)]
+
+
+def assert_instances_match_requests(corpus, provider, bank):
+    """Every instance's features equal node_features of its dialog, bit for bit, in corpus order."""
+    instances = selection_instances(corpus, provider, bank)
+    targets = [d for d in corpus.dialogs if d.target]
+    assert len(instances) == len(targets)
+    for instance, dialog in zip(instances, targets):
+        candidates = corpus.snippets[(dialog.golden.domain, dialog.golden.entity_id)]
+        expected = node_features(dialog.current_turn.text, candidates, provider, bank)
+        assert instance.features.shape == expected.shape
+        assert np.array_equal(instance.features, expected)
+        assert candidates[instance.golden_index].doc_id == dialog.golden.doc_id
+
+
+class TestSelectionInstances:
+    """Featurizing many dialogs in chunked passes equals the request path, dialog by dialog."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(case=st.data())
+    def test_each_row_equals_the_request_path(self, batch_providers, bank11, case):
+        def text(n_tokens):
+            return " ".join(case.draw(st.lists(st.sampled_from(BATCH_WORDS), min_size=n_tokens, max_size=n_tokens)))
+
+        provider = case.draw(st.sampled_from(batch_providers))
+        snippets, dialogs = {}, []
+        for i in range(case.draw(st.integers(1, 10))):
+            lengths = case.draw(st.lists(st.one_of(st.integers(1, 12), st.integers(129, 140)), min_size=1, max_size=5))
+            entity = ("d", f"e{i}")
+            snippets[entity] = [KnowledgeSnippet(*entity, str(j), text(n), "") for j, n in enumerate(lengths)]
+            # Question lengths cross the 64-token cut, and often repeat so that dialogs share a pooling
+            # pass; an unlabeled dialog is skipped.
+            turn = (DialogTurn(Speaker.USER, text(case.draw(st.one_of(st.integers(1, 70), st.just(12))))),)
+            if case.draw(st.booleans()):
+                golden = SnippetRef(*entity, str(case.draw(st.integers(0, len(lengths) - 1))))
+                dialogs.append(DialogInstance(f"d{i:04d}", turn, True, golden))
+            else:
+                dialogs.append(DialogInstance(f"d{i:04d}", turn))
+        # Chunks of a few rows up to the real bound, so chunk edges fall anywhere.
+        with mock.patch.object(selector, "CHUNK_ROWS", case.draw(st.sampled_from([1, 60, 250, selector.CHUNK_ROWS]))):
+            assert_instances_match_requests(Corpus(snippets, dialogs), provider, bank11)
+
+    def test_single_candidate_dialogs_sharing_a_question_length(self, provider7, bank11):
+        # numpy sums the 12 question rows of a one-column response in another order than of a wider one.
+        question = " ".join(f"q{i}" for i in range(12))
+        snippets = {("d", f"e{i}"): [KnowledgeSnippet("d", f"e{i}", str(j), f"q{i} q{j + 3} x{j}", "")
+                                     for j in range(width)] for i, width in enumerate((1, 1, 3, 1))}
+        dialogs = [DialogInstance(f"d{i:04d}", (DialogTurn(Speaker.USER, question),), True, SnippetRef("d", f"e{i}", "0"))
+                   for i in range(4)]
+        assert_instances_match_requests(Corpus(snippets, dialogs), provider7, bank11)
+
+    def test_corpus_larger_than_one_chunk(self, tmp_path, provider7, bank11):
+        corpus = synth_corpus(801, SynthParams(n_dialogs=400, n_candidates=8))
+        rows = sum(
+            embed_pair(provider7, d.current_turn.text, corpus.snippets[(d.golden.domain, d.golden.entity_id)]).vectors.shape[0]
+            for d in corpus.dialogs if d.target
+        )
+        assert rows > 2 * selector.CHUNK_ROWS
+        # Odd tokens are out of the file's vocabulary; w00's squared norm overflows.
+        path = tmp_path / "vectors.txt"
+        path.write_text("w00 1e200 -3e199 5e199\n" + "".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n"
+                                                            for j in range(2, 64, 2)))
+        for provider in (provider7, FileVectors(path)):
+            assert_instances_match_requests(corpus, provider, bank11)
+
+    def test_non_finite_embedding_rejected(self, bank11):
+        corpus = hotel_corpus()
+        provider = FixedProvider({"parking": [np.inf, 1.0], "free": [1.0, 0.0]})
+        for featurize in (lambda: selection_instances(corpus, provider, bank11),
+                          lambda: node_features("is parking free", corpus.snippets[("hotel", "1")], provider, bank11)):
+            with pytest.raises(ValueError, match="embedding entries must be finite"):
+                featurize()
+
+
 class TestRank:
     def test_single_candidate_probability_1(self, provider7):
         bank = two_kernel_bank()
@@ -699,6 +799,7 @@ class TestPersistence:
         pytest.param(with_field("readout_weights", 0.5),
                      "'readout_weights' must be an array of numbers", id="scalar-weights"),
         pytest.param(truncated, "parse error at line", id="truncated"),
+        pytest.param(with_literal("sigmas", 0, "1e400"), "sigmas must be positive and finite", id="infinite-sigma"),
     ])
     def test_malformed_file_names_its_path(self, bank11, provider7, tmp_path, edit, message):
         path = tmp_path / "selector.json"
