@@ -24,7 +24,7 @@ from .corpus import (
     synth_corpus,
     write_corpus,
 )
-from .detection import DetectorHyper, detect, load_detector, save_detector, train_detector
+from .detection import DetectorHyper, _detect_batch, load_detector, save_detector, train_detector
 from .embedding import FileVectors, HashedGaussianVectors
 from .evaluation import (
     ReportEntry,
@@ -154,9 +154,9 @@ def cmd_train_detect(args) -> int:
     model, losses = train_detector(corpus, hyper)
     for epoch, loss in enumerate(losses):
         print(f"epoch {epoch} loss {loss:.6f}")
-    results = [detect(model, d) for d in corpus.dialogs]
-    metrics = detection_metrics([r.triggered for r in results], [d.target for d in corpus.dialogs])
-    mean_probability = sum(r.probability for r in results) / len(results)
+    probabilities = _detect_batch(model, corpus.dialogs)
+    metrics = detection_metrics((probabilities >= model.threshold).tolist(), [d.target for d in corpus.dialogs])
+    mean_probability = sum(probabilities.tolist()) / len(probabilities)
     print(f"mean probability {mean_probability:.4f}")
     print(
         f"final F1 {metrics.f1:.4f} Precision {metrics.precision:.4f} Recall {metrics.recall:.4f}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .corpus import Corpus, DialogInstance, Speaker, _number_array, _read_json
 from .descent import _descend, check_schedule
-from .embedding import tokenize
+from .embedding import tokenize, tokenize_batch
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
 
@@ -125,6 +126,40 @@ def detect_score(model: DetectorModel, columns: list[int]) -> float:
     return float(_sigmoid_vector(model.weights[columns].sum()))
 
 
+def _featurize_batch(dialogs: list[DialogInstance], hash_dim: int, turn_buckets: int) -> tuple[np.ndarray, list[int]]:
+    """Every dialog's :func:`featurize` columns, concatenated in dialog order, and each dialog's column count.
+
+    The serialized dialogs are tokenized in one :func:`tokenize_batch` call,
+    each distinct n-gram is hashed once by :func:`ngram_hash`, and the
+    occurrences' columns are gathered from the distinct ones with one ``take``.
+    A dialog's turn bucket sits in the same sequence as an int key, so it
+    keeps its place after the dialog's bigrams.
+    """
+    grams: list = []
+    lengths = []
+    for tokens, dialog in zip(tokenize_batch(list(map(serialize_dialog, dialogs))), dialogs):
+        grams += tokens
+        grams += map(" ".join, zip(tokens, tokens[1:]))
+        grams.append(hash_dim + min(len(dialog.turns), turn_buckets) - 1)
+        lengths.append(2 * len(tokens))  # unigrams, one bigram fewer, and the bucket
+    index = dict(zip(dict.fromkeys(grams), range(len(grams))))  # each distinct gram's place, in first-seen order
+    distinct = np.fromiter((ngram_hash(gram) % hash_dim if type(gram) is str else gram for gram in index), np.int64)
+    return distinct.take(list(map(index.__getitem__, grams))), lengths
+
+
+def _detect_batch(model: DetectorModel, dialogs: list[DialogInstance]) -> np.ndarray:
+    """Each dialog's :func:`detect` probability, bit for bit, from one batch featurization.
+
+    A dialog's score is the ``sum`` of its own contiguous slice of the
+    gathered weights, the same reduction over the same values in the same
+    order as :func:`detect_score`; one vectorized sigmoid follows.
+    """
+    columns, lengths = _featurize_batch(dialogs, model.hash_dim, model.turn_buckets)
+    weights = model.weights.take(columns)
+    scores = np.array([weights[start : start + n].sum() for start, n in zip(accumulate(lengths, initial=0), lengths)])
+    return _sigmoid_vector(scores)
+
+
 class DetectionResult(NamedTuple):
     probability: float
     triggered: bool
@@ -164,21 +199,18 @@ def train_detector(
     does not increase. Deterministic for fixed inputs and hyperparameters.
 
     Training never holds the dense n x (hash_dim + turn_buckets) matrix: the
-    dialogs' :func:`featurize` lists are concatenated, and both mat-vecs are
-    ``np.bincount`` sums over their (row, column) pairs.
+    dialogs' :func:`featurize` columns are built in one batch and
+    concatenated, and both mat-vecs are ``np.bincount`` sums over their
+    (row, column) pairs.
     """
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
-    row_columns = [
-        featurize(serialize_dialog(d), len(d.turns), hyper.hash_dim, hyper.turn_buckets)
-        for d in corpus.dialogs
-    ]
+    columns, lengths = _featurize_batch(corpus.dialogs, hyper.hash_dim, hyper.turn_buckets)
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")
     n, dim = len(labels), hyper.hash_dim + hyper.turn_buckets
-    rows = np.repeat(np.arange(n), [len(c) for c in row_columns])
-    columns = np.concatenate(row_columns)
+    rows = np.repeat(np.arange(n), lengths)
 
     def scores(weights):
         return np.bincount(rows, weights=weights[columns], minlength=n)

@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
@@ -40,6 +41,8 @@ MAX_KNOWLEDGE_TOKENS = 128
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # Byte table of the ASCII path: A-Z fold to a-z, a-z and 0-9 stay, every other byte becomes a space.
 _ASCII_FOLD = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 32 for c in range(256))
+# The same table keeping NUL, which separates the texts of one tokenize_batch call.
+_BATCH_FOLD = b"\0" + _ASCII_FOLD[1:]
 
 
 def tokenize(text: str) -> list[str]:
@@ -57,6 +60,24 @@ def tokenize(text: str) -> list[str]:
         if not text.isascii():
             return _TOKEN_RE.findall(text) or [EMPTY_TOKEN]
     return text.encode().translate(_ASCII_FOLD).decode().split() or [EMPTY_TOKEN]
+
+
+def tokenize_batch(texts: list[str]) -> Iterator[list[str]]:
+    """An iterator over ``tokenize(t)`` for each text, folded in one pass when the texts are ASCII.
+
+    The texts are joined with NUL, translated by ``_BATCH_FOLD`` (``_ASCII_FOLD``
+    that keeps NUL) and cut back apart at NUL, so each piece is its text's
+    folded bytes; a piece is split into its tokens only when the iterator
+    reaches it, so a caller that counts tokens holds one list at a time.
+    Every text goes through :func:`tokenize` instead when the joined text is
+    not ASCII, or when a text held a NUL itself (more pieces than texts).
+    """
+    joined = "\0".join(texts)
+    if joined.isascii():
+        pieces = joined.encode().translate(_BATCH_FOLD).decode().split("\0")
+        if len(pieces) == len(texts):
+            return (piece.split() or [EMPTY_TOKEN] for piece in pieces)
+    return map(tokenize, texts)
 
 
 class _TokenVectors:
@@ -253,6 +274,11 @@ class PairEmbedding:
         return self.vectors.shape[1]
 
 
+def _snippet_texts(snippets) -> list[str]:
+    """Each snippet's ``text``, title and body joined by a space, without a Python-level property call."""
+    return list(map(" ".join, map(operator.attrgetter("title", "body"), snippets)))
+
+
 def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[list[str], int, tuple[int, ...]]:
     """The question's tokens then every candidate's (title and body), cut at 64 and 128 tokens.
 
@@ -262,8 +288,7 @@ def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[lis
     if not candidates:
         raise ValueError("candidates must be non-empty")
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-    # " ".join((title, body)) is the snippet's ``text``, without a Python-level property call.
-    k_lists = list(map(tokenize, map(" ".join, map(operator.attrgetter("title", "body"), candidates))))
+    k_lists = list(tokenize_batch(_snippet_texts(candidates)))
     widths = list(map(len, k_lists))
     if max(widths) > MAX_KNOWLEDGE_TOKENS:
         k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
@@ -292,9 +317,12 @@ class Vocabulary:
 
 
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
-    """Count, per token, the snippet texts it appears in; tokens keep their order of first appearance."""
-    texts = [snippet.text for snippets in corpus.snippets.values() for snippet in snippets]
-    doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, map(tokenize, texts)))))
+    """Count, per token, the snippet texts it appears in; tokens keep their order of first appearance.
+
+    The knowledge base is tokenized in one :func:`tokenize_batch` pass.
+    """
+    texts = _snippet_texts(chain.from_iterable(corpus.snippets.values()))
+    doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, tokenize_batch(texts)))))
     n = len(texts)
     idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in doc_freq.values()])
     return Vocabulary(doc_freq, n, dict(zip(doc_freq, range(len(doc_freq)))), idf)
@@ -306,7 +334,7 @@ def _token_weights(vocab: Vocabulary, texts: list[str]) -> tuple[np.ndarray, np.
     V is the vocabulary size. A weight is the token's count in the text times
     its idf; tokens outside the vocabulary are dropped.
     """
-    token_lists = list(map(tokenize, texts))
+    token_lists = list(tokenize_batch(texts))
     tokens = list(chain.from_iterable(token_lists))
     ids = np.fromiter(map(vocab.ids.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
     text_of = np.repeat(np.arange(len(texts)), list(map(len, token_lists)))
@@ -333,8 +361,7 @@ def tfidf_rank(
         raise ValueError("need one non-empty candidate list per question, and at least one question")
     n, vocab_size = sum(widths), vocab.idf.size
     question_of = np.repeat(np.arange(len(widths)), widths)  # per candidate
-    texts = map(" ".join, map(operator.attrgetter("title", "body"), chain.from_iterable(candidate_sets)))
-    c_keys, c_weights = _token_weights(vocab, list(texts))
+    c_keys, c_weights = _token_weights(vocab, _snippet_texts(chain.from_iterable(candidate_sets)))
     candidate, token = np.divmod(c_keys, vocab_size)
     q_keys, q_weights = _token_weights(vocab, questions)
     c_norms = np.sqrt(np.bincount(candidate, c_weights * c_weights, n))

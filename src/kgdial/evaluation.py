@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .corpus import Corpus, labeled_candidates, rank_order
-from .detection import DetectorModel, detect
+from .detection import DetectorModel, _detect_batch
 from .embedding import build_vocabulary, tfidf_rank
 from .selector import SelectionInstance, SelectorModel, _batch, selection_instances
 
@@ -139,10 +139,10 @@ def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
 
 
 def evaluate_detector(model: DetectorModel, corpus: Corpus) -> DetectionMetrics:
-    """Detection metrics of the model's triggered decisions against target labels."""
+    """Detection metrics of the model's triggered decisions against target labels, all dialogs scored in one batch."""
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
-    predictions = [detect(model, dialog).triggered for dialog in corpus.dialogs]
+    predictions = (_detect_batch(model, corpus.dialogs) >= model.threshold).tolist()
     gold = [dialog.target for dialog in corpus.dialogs]
     return detection_metrics(predictions, gold)
 

@@ -122,8 +122,10 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns
     (all columns when ``starts`` is None). The responses are built in place
     in one K x m x p array, so each candidate's sum over j runs along the
-    contiguous last axis. Raises ValueError unless ``starts`` begin at 0,
-    strictly increase and stay below the column count.
+    contiguous last axis, and the sum over i adds the rows in order, so a
+    candidate's features do not depend on the other columns of the call.
+    Raises ValueError unless ``starts`` begin at 0, strictly increase and
+    stay below the column count.
     """
     if starts is not None and not (
         len(starts) > 0 and starts[0] == 0 and starts[-1] < matrix.shape[1]
@@ -138,7 +140,11 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps
     pooled = np.add.reduceat(np.exp(responses, out=responses), (0,) if starts is None else starts, axis=2)
     np.log(np.maximum(pooled, KERNEL_EPS, out=pooled), out=pooled)
-    features = np.ascontiguousarray(pooled.mean(axis=1).T)  # BLAS rounds a transposed view differently
+    # Summed along the outer axis of an m x K x l copy, the m rows add in order; along the
+    # middle axis, a lone candidate's m x 1 column would be summed pairwise instead.
+    rows = np.ascontiguousarray(pooled.transpose(1, 0, 2))
+    means = np.add.reduce(rows, axis=0) / rows.shape[0]
+    features = np.ascontiguousarray(means.T)  # BLAS rounds a transposed view differently
     return features[0] if starts is None else features
 
 
@@ -324,19 +330,18 @@ def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionI
     dialog gets its own m x p matmul, as on a request; then one
     ``kernel_features`` call per question length m pools the dialogs'
     concatenated columns, so each mean over m and each candidate's sum is
-    the one a request computes. A single-candidate dialog is pooled alone:
-    numpy sums an m x 1 response column in another order than wider ones.
+    the one a request computes.
     """
     vectors = provider.embed_tokens(list(chain.from_iterable(tokens for tokens, *_ in chunk)))
     if not np.isfinite(vectors).all():
         raise ValueError("embedding entries must be finite")
     unit = _unit_rows(vectors)
-    groups: dict[object, list] = {}
+    groups: dict[int, list] = {}
     first = 0
     for index, (tokens, m, starts, _) in enumerate(chunk):
         last = first + len(tokens)
         matrix = unit[first : first + m] @ unit[first + m : last].T
-        groups.setdefault(m if len(starts) > 1 else (m, index), []).append((index, matrix, starts))
+        groups.setdefault(m, []).append((index, matrix, starts))
         first = last
     features = [None] * len(chunk)
     for members in groups.values():

@@ -27,12 +27,12 @@ from helpers import as_array, truncated, with_field, with_literal, without_field
 
 
 def count_calls(monkeypatch, home, name) -> list:
-    """Count calls of ``home.name`` through every kgdial module that binds it."""
+    """Record the positional arguments of each call of ``home.name`` through every kgdial module that binds it."""
     original = getattr(home, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -124,10 +124,10 @@ class TestTrain:
     def test_detect_featurizes_each_dialog_once_to_train_and_once_to_score(
         self, workdir, monkeypatch, tmp_path, capsys
     ):
-        calls = count_calls(monkeypatch, detection, "featurize")
+        calls = count_calls(monkeypatch, detection, "_featurize_batch")
         assert main(["train", "detect", *workdir["corpus_flags"],
                      "--model", str(tmp_path / "d.json"), "--epochs", "3"]) == 0
-        assert len(calls) == 2 * 30
+        assert [len(dialogs) for dialogs, *_ in calls] == [30, 30]
         assert "mean probability" in capsys.readouterr().out
 
     def test_select_extracts_features_once(self, workdir, monkeypatch, tmp_path, capsys):

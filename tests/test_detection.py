@@ -339,6 +339,35 @@ class TestDetect:
             assert abs(detect(model, d).probability - expected) <= 1e-15
 
 
+class TestBatchDetection:
+    """The batch path that training and evaluation use gives every dialog's ``detect`` result bit for bit."""
+
+    WORDS = ["room", "room", "Room", "wifi", "free", "Ünï", "ΟΔΟΣ", "\u212a", "a\x00b", "?", ""]
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=st.data())
+    def test_equals_detect_dialog_by_dialog(self, case):
+        hash_dim, turn_buckets = case.draw(st.sampled_from([(16, 2), (4096, 16)]))
+        rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1)))
+        model = DetectorModel(rng.normal(0.0, 3.0, hash_dim + turn_buckets), hash_dim, turn_buckets, 0.5)
+        dialogs = []
+        for i in range(case.draw(st.integers(1, 8))):
+            # Long histories pass the last turn bucket; repeated words repeat unigrams and bigrams.
+            n_turns = case.draw(st.sampled_from([1, 2, 5, 40]))
+            texts = case.draw(st.lists(st.lists(st.sampled_from(self.WORDS), max_size=12).map(" ".join),
+                                       min_size=n_turns, max_size=n_turns))
+            speakers = [Speaker.USER if (n_turns - 1 - t) % 2 == 0 else Speaker.SYS for t in range(n_turns)]
+            dialogs.append(DialogInstance(f"d{i:04d}", tuple(map(DialogTurn, speakers, texts))))
+        columns, lengths = detection._featurize_batch(dialogs, hash_dim, turn_buckets)
+        expected = [featurize(serialize_dialog(d), len(d.turns), hash_dim, turn_buckets) for d in dialogs]
+        assert lengths == list(map(len, expected))
+        assert columns.tolist() == [c for row in expected for c in row]
+        probabilities = detection._detect_batch(model, dialogs)
+        results = [detect(model, d) for d in dialogs]
+        assert probabilities.tobytes() == np.array([r.probability for r in results]).tobytes()
+        assert (probabilities >= model.threshold).tolist() == [r.triggered for r in results]
+
+
 class TestPersistence:
     def test_round_trip_bitwise(self, small_detector, tmp_path):
         model, _ = small_detector

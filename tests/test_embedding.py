@@ -18,6 +18,7 @@ from kgdial.embedding import (
     provider_from_description,
     tfidf_rank,
     tokenize,
+    tokenize_batch,
 )
 
 from helpers import oracle_tfidf_scores
@@ -69,6 +70,29 @@ class TestTokenize:
     @given(st.text(st.sampled_from("aZ09 _-.?\x00\t") | st.characters(), max_size=40))
     def test_matches_unicode_class(self, text):
         assert tokenize(text) == (_TOKEN_RE.findall(text.lower()) or [EMPTY_TOKEN])
+
+
+class TestTokenizeBatch:
+    """The batch tokenizer is ``map(tokenize)``, on either of its paths."""
+
+    # NUL (the batch separator), U+212A KELVIN SIGN (ASCII once lowercased), Greek final sigma
+    # (lowercases by context), text with no token, and no text.
+    @example(texts=[])
+    @example(texts=[""])
+    @example(texts=["", "a", ""])
+    @example(texts=["a\x00b", "c"])
+    @example(texts=["\x00"])
+    @example(texts=["\u212aelvin", "ok"])
+    @example(texts=["ΟΔΟΣ σ ς", "x"])
+    @given(st.lists(st.text(st.sampled_from(["a", "Z", "0", " ", "_", "?", "\x00", "\u212a", "Σ", "ς", "é"]), max_size=12),
+                    max_size=6))
+    def test_equals_map_tokenize(self, texts):
+        assert list(tokenize_batch(texts)) == list(map(tokenize, texts))
+
+    def test_each_token_list_is_a_new_list(self):
+        a, b = tokenize_batch(["", ""])
+        a.append("x")
+        assert b == [EMPTY_TOKEN]
 
 
 class TestHashedGaussianVectors:

@@ -199,6 +199,18 @@ class TestKernelFeatures:
         features = kernel_features(matrix, two_kernel_bank())
         assert abs(features[-1] - (0.0 + math.log(KERNEL_EPS)) / 2.0) < 1e-12
 
+    # Questions of 8 or more rows are where numpy's mean summed a lone candidate's column pairwise.
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.integers(1, 64), widths=st.tuples(st.integers(1, 12), st.integers(1, 12)), seed=st.integers(0, 2**32 - 1))
+    def test_a_candidates_row_does_not_depend_on_the_others(self, bank11, m, widths, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.uniform(-1.0, 1.0, (m, sum(widths)))
+        matrix[rng.random(matrix.shape) < 0.2] = 1.0  # exact matches
+        both = kernel_features(matrix, bank11, (0, widths[0]))
+        for row, part in enumerate((matrix[:, : widths[0]], matrix[:, widths[0] :])):
+            assert kernel_features(part, bank11).tobytes() == both[row].tobytes()
+            assert kernel_features(part, bank11, (0,)).tobytes() == both[row : row + 1].tobytes()
+
 
 class TestNodeFeatures:
     def test_single_candidate_shape(self, provider7, bank11):
@@ -509,7 +521,7 @@ class TestBatchedNodeFeatures:
         bounds = [*pair.knowledge_starts, pair.p]
         pooled = kernel_features(matrix, bank11, pair.knowledge_starts)
         for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            np.testing.assert_allclose(pooled[row], kernel_features(matrix[:, a:b], bank11), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(pooled[row], kernel_features(matrix[:, a:b], bank11))
 
 
 # Tokens of the selection-instance property below: the vector file leaves "w4" and "oov" out of its
