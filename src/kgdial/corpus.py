@@ -15,13 +15,23 @@ and optional per-dialog labels. All three files are UTF-8 JSON:
 Dialog ids are positional (``d0000``, ``d0001``, ...) and are regenerated on
 load. Loaded corpora are immutable by convention and safe for concurrent
 reads.
+
+Each entity's documents are stored as one :class:`EntitySnippets`: a single
+tuple of plain ``(domain, entity_id, doc_id, title, body)`` rows. The cyclic
+garbage collector stops tracking a plain tuple of strings at the first pass
+that reaches it, and a tuple of such tuples by the next, so a loaded
+knowledge base costs it one object per entity, not one per document. A :class:`KnowledgeSnippet` is built only where one is asked for,
+by indexing or iterating; the hot paths (request featurizing, TF-IDF, golden
+lookup, writing) read the rows and build none.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -72,6 +82,56 @@ class KnowledgeSnippet(NamedTuple):
         return self.title + " " + self.body
 
 
+# KnowledgeSnippet of a row, without the field-count check of ``_make``.
+_snippet = partial(tuple.__new__, KnowledgeSnippet)
+
+
+class EntitySnippets(Sequence):
+    """One entity's documents as a sequence of :class:`KnowledgeSnippet`, stored as plain rows.
+
+    ``rows`` is one exact tuple of exact ``(domain, entity_id, doc_id, title,
+    body)`` tuples, which the garbage collector stops tracking; indexing and
+    iteration build a snippet per item asked for. Equal to another
+    ``EntitySnippets``, list or tuple holding equal snippets (a snippet equals
+    its row).
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, snippets: Iterable[KnowledgeSnippet] = ()):
+        self.rows = tuple(map(tuple, snippets))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EntitySnippets(self.rows[index])
+        return _snippet(self.rows[index])
+
+    def __iter__(self):
+        return map(_snippet, self.rows)
+
+    def __eq__(self, other):
+        if isinstance(other, EntitySnippets):
+            return self.rows == other.rows
+        if isinstance(other, (list, tuple)):
+            return self.rows == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"EntitySnippets({list(self)!r})"
+
+
+def _rows(snippets: Sequence[KnowledgeSnippet]) -> Sequence[tuple]:
+    """The rows of an :class:`EntitySnippets`, or any other sequence of snippets as given.
+
+    Either way each item reads as a 5-tuple (a snippet is one), so a hot path
+    that indexes fields builds no snippet.
+    """
+    return snippets.rows if type(snippets) is EntitySnippets else snippets
+
+
 @dataclass(frozen=True)
 class DialogTurn:
     speaker: Speaker
@@ -102,18 +162,25 @@ class Corpus:
     """Knowledge snippets plus dialogs; immutable after construction.
 
     ``snippets`` maps ``(domain, entity_id)`` to that entity's documents in
-    file order; this stored order is the candidate order everywhere
-    downstream.
+    file order, each entity's as one :class:`EntitySnippets` (any other
+    sequence of snippets given is wrapped in one); this stored order is the
+    candidate order everywhere downstream.
     """
 
-    snippets: dict[tuple[str, str], list[KnowledgeSnippet]]
+    snippets: dict[tuple[str, str], EntitySnippets]
     dialogs: list[DialogInstance]
     entity_names: dict[tuple[str, str], str] = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.snippets = {
+            key: docs if type(docs) is EntitySnippets else EntitySnippets(docs) for key, docs in self.snippets.items()
+        }
+
     def find_snippet(self, ref: SnippetRef) -> KnowledgeSnippet | None:
-        for snippet in self.snippets.get((ref.domain, ref.entity_id), []):
-            if snippet.doc_id == ref.doc_id:
-                return snippet
+        docs = self.snippets.get((ref.domain, ref.entity_id))
+        for row in () if docs is None else docs.rows:
+            if row[2] == ref.doc_id:
+                return _snippet(row)
         return None
 
 
@@ -163,8 +230,8 @@ def _number_array(payload: dict, key: str) -> np.ndarray:
 
 def load_knowledge(
     knowledge_path,
-) -> tuple[dict[tuple[str, str], list[KnowledgeSnippet]], dict[tuple[str, str], str]]:
-    """Parse a knowledge file into snippet lists keyed by (domain, entity_id).
+) -> tuple[dict[tuple[str, str], EntitySnippets], dict[tuple[str, str], str]]:
+    """Parse a knowledge file into each entity's :class:`EntitySnippets`, keyed by (domain, entity_id).
 
     Rejects duplicate keys, empty titles, entities without documents, and
     names that are neither a string nor null. Returns the snippet map and the
@@ -173,7 +240,7 @@ def load_knowledge(
     raw = _read_json(knowledge_path)
     if not isinstance(raw, dict):
         raise CorpusError(f"{knowledge_path}: expected a domain -> entities object")
-    snippets: dict[tuple[str, str], list[KnowledgeSnippet]] = {}
+    snippets: dict[tuple[str, str], EntitySnippets] = {}
     names: dict[tuple[str, str], str] = {}
     for domain, entities in raw.items():
         if not isinstance(entities, dict):
@@ -211,8 +278,8 @@ def load_knowledge(
                     raise CorpusError(
                         f"{knowledge_path}: doc ({domain!r}, {entity_id!r}, {doc_id!r}): 'body' must be a string"
                     )
-                listed.append(KnowledgeSnippet(domain, entity_id, doc_id, title, body))
-            snippets[key] = listed
+                listed.append((domain, entity_id, doc_id, title, body))
+            snippets[key] = EntitySnippets(listed)
     return snippets, names
 
 
@@ -315,13 +382,13 @@ def load_corpus(knowledge_path, logs_path, labels_path=None) -> Corpus:
     return corpus
 
 
-def candidate_set(corpus: Corpus, entity: tuple[str, str]) -> list[KnowledgeSnippet]:
-    """The entity's snippets in stored order; the candidate set for selection.
+def candidate_set(corpus: Corpus, entity: tuple[str, str]) -> EntitySnippets:
+    """The entity's snippets in stored order, the stored object itself; the candidate set for selection.
 
     Raises :class:`CorpusError` for an unknown entity.
     """
     try:
-        return list(corpus.snippets[tuple(entity)])
+        return corpus.snippets[tuple(entity)]
     except KeyError:
         raise CorpusError(f"unknown entity ({entity[0]!r}, {entity[1]!r})") from None
 
@@ -344,7 +411,7 @@ def labeled_candidates(corpus: Corpus):
             continue
         golden = dialog.golden
         candidates = candidate_set(corpus, (golden.domain, golden.entity_id))
-        doc_ids = [c.doc_id for c in candidates]
+        doc_ids = [row[2] for row in candidates.rows]
         if golden.doc_id not in doc_ids:
             raise CorpusError(f"dialog {dialog.id}: golden doc {golden.doc_id!r} is not among its entity's snippets")
         yield dialog, candidates, doc_ids.index(golden.doc_id)
@@ -366,7 +433,7 @@ def write_corpus(corpus: Corpus, knowledge_path, logs_path, labels_path=None) ->
     for (domain, entity_id), docs in corpus.snippets.items():
         knowledge.setdefault(domain, {})[entity_id] = {
             "name": corpus.entity_names.get((domain, entity_id), ""),
-            "docs": {s.doc_id: {"title": s.title, "body": s.body} for s in docs},
+            "docs": {doc_id: {"title": title, "body": body} for _, _, doc_id, title, body in docs.rows},
         }
     _write_json(knowledge, knowledge_path)
 
@@ -389,6 +456,11 @@ def write_corpus(corpus: Corpus, knowledge_path, logs_path, labels_path=None) ->
     _write_json(labels, labels_path)
 
 
+# Largest synthetic sizes (``--dialogs``, ``--candidates``, ``--vocab-size``) and document count.
+SYNTH_CAPS = {"n_dialogs": 100_000, "n_candidates": 1_000, "vocab_size": 100_000}
+MAX_SYNTH_DOCUMENTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SynthParams:
     """Parameters of the synthetic corpus generator (see :func:`synth_corpus`).
@@ -396,7 +468,9 @@ class SynthParams:
     Each of the ``n_dialogs`` dialogs gets one entity with ``n_candidates``
     documents of four tokens drawn from ``vocab_size`` tokens.
     ``detect_marker_rate`` is the fraction of dialogs generated as chit-chat
-    (marked with :data:`MARKER_TOKEN` and not knowledge-seeking).
+    (marked with :data:`MARKER_TOKEN` and not knowledge-seeking). Each size
+    has a cap (``SYNTH_CAPS``), and so has the document count
+    ``n_dialogs * n_candidates`` (``MAX_SYNTH_DOCUMENTS``).
     """
 
     n_dialogs: int = 200
@@ -405,6 +479,13 @@ class SynthParams:
     detect_marker_rate: float = 0.5
 
     def __post_init__(self):
+        for name, cap in SYNTH_CAPS.items():
+            if getattr(self, name) > cap:
+                raise ValueError(f"{name} must be <= {cap}, got {getattr(self, name)}")
+        if self.n_dialogs * self.n_candidates > MAX_SYNTH_DOCUMENTS:
+            raise ValueError(
+                f"n_dialogs * n_candidates must be <= {MAX_SYNTH_DOCUMENTS}, got {self.n_dialogs * self.n_candidates}"
+            )
         if self.n_dialogs < 1:
             raise ValueError(f"n_dialogs must be >= 1, got {self.n_dialogs}")
         if self.n_candidates < 2:
@@ -436,7 +517,7 @@ def synth_corpus(seed: int, params: SynthParams) -> Corpus:
     is_target = np.array([False] * n_marker + [True] * (params.n_dialogs - n_marker))
     rng.shuffle(is_target)
 
-    snippets: dict[tuple[str, str], list[KnowledgeSnippet]] = {}
+    snippets: dict[tuple[str, str], EntitySnippets] = {}
     names: dict[tuple[str, str], str] = {}
     dialogs: list[DialogInstance] = []
     for i in range(params.n_dialogs):
@@ -445,12 +526,10 @@ def synth_corpus(seed: int, params: SynthParams) -> Corpus:
         candidate_tokens = [
             [vocab[int(j)] for j in perm[4 * c : 4 * c + 4]] for c in range(params.n_candidates)
         ]
-        snippets[(domain, entity_id)] = [
-            KnowledgeSnippet(
-                domain, entity_id, str(c), " ".join(toks[:2]) + "?", " ".join(toks[2:]) + "."
-            )
+        snippets[(domain, entity_id)] = EntitySnippets(
+            (domain, entity_id, str(c), " ".join(toks[:2]) + "?", " ".join(toks[2:]) + ".")
             for c, toks in enumerate(candidate_tokens)
-        ]
+        )
         names[(domain, entity_id)] = f"synthetic entity {i}"
         filler_pool = [vocab[int(j)] for j in perm[4 * params.n_candidates :]]
 

@@ -79,10 +79,16 @@ def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int
     return columns
 
 
+# Largest ``hash_dim`` (``--hash-dim``): 2**20 weights take 8 MB.
+MAX_HASH_DIM = 2**20
+
+
 def check_detector_shape(hash_dim: int, turn_buckets: int, threshold: float) -> None:
-    """Reject a detector with ``hash_dim`` < 16, ``turn_buckets`` < 1 or ``threshold`` outside (0, 1)."""
+    """Reject a detector with ``hash_dim`` outside [16, ``MAX_HASH_DIM``], ``turn_buckets`` < 1 or ``threshold`` outside (0, 1)."""
     if hash_dim < 16:
         raise ValueError(f"hash_dim must be >= 16, got {hash_dim}")
+    if hash_dim > MAX_HASH_DIM:
+        raise ValueError(f"hash_dim must be <= {MAX_HASH_DIM}, got {hash_dim}")
     if turn_buckets < 1:
         raise ValueError(f"turn_buckets must be >= 1, got {turn_buckets}")
     if not 0.0 < threshold < 1.0:

@@ -22,13 +22,13 @@ import math
 import operator
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet
+from .corpus import Corpus, KnowledgeSnippet, _rows
 
 # Sentinel emitted for text with no alphanumeric content, so every text
 # embeds to at least one row.
@@ -36,6 +36,9 @@ EMPTY_TOKEN = "⟨empty⟩"
 
 MAX_QUESTION_TOKENS = 64
 MAX_KNOWLEDGE_TOKENS = 128
+
+# Largest hashed-Gaussian dimension (``--embed-dim``, or a selector file's ``dim``).
+MAX_EMBED_DIM = 4096
 
 # Unicode alphanumeric runs, underscore excluded.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -106,7 +109,8 @@ class HashedGaussianVectors(_TokenVectors):
 
     The full d-dimensional draw makes vector-level collisions of distinct
     tokens a probability-zero event. Deterministic across processes. The
-    seed is hashed as 8 signed bytes, so it must lie in [-2**63, 2**63).
+    seed is hashed as 8 signed bytes, so it must lie in [-2**63, 2**63), and
+    ``dim`` in [2, ``MAX_EMBED_DIM``].
     """
 
     kind = "hashed-gaussian"
@@ -114,6 +118,8 @@ class HashedGaussianVectors(_TokenVectors):
     def __init__(self, seed: int, dim: int):
         if dim < 2:
             raise ValueError(f"dim must be >= 2, got {dim}")
+        if dim > MAX_EMBED_DIM:
+            raise ValueError(f"dim must be <= {MAX_EMBED_DIM}, got {dim}")
         self.seed = int(seed)
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
@@ -274,12 +280,16 @@ class PairEmbedding:
         return self.vectors.shape[1]
 
 
-def _snippet_texts(snippets) -> list[str]:
-    """Each snippet's ``text``, title and body joined by a space, without a Python-level property call."""
-    return list(map(" ".join, map(operator.attrgetter("title", "body"), snippets)))
+# A snippet's (title, body), read alike from a KnowledgeSnippet and from a stored row.
+_title_body = operator.itemgetter(3, 4)
 
 
-def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[list[str], int, tuple[int, ...]]:
+def _snippet_texts(rows) -> list[str]:
+    """Each snippet's ``text``, title and body joined by a space, read from its row or snippet by index."""
+    return list(map(" ".join, map(_title_body, rows)))
+
+
+def _pair_tokens(question: str, candidates: Sequence[KnowledgeSnippet]) -> tuple[list[str], int, tuple[int, ...]]:
     """The question's tokens then every candidate's (title and body), cut at 64 and 128 tokens.
 
     Returns the tokens, the question's count m, and each candidate's first
@@ -288,7 +298,7 @@ def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[lis
     if not candidates:
         raise ValueError("candidates must be non-empty")
     q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-    k_lists = list(tokenize_batch(_snippet_texts(candidates)))
+    k_lists = list(tokenize_batch(_snippet_texts(_rows(candidates))))
     widths = list(map(len, k_lists))
     if max(widths) > MAX_KNOWLEDGE_TOKENS:
         k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
@@ -296,7 +306,7 @@ def _pair_tokens(question: str, candidates: list[KnowledgeSnippet]) -> tuple[lis
     return list(chain(q_tokens, *k_lists)), len(q_tokens), tuple(accumulate(widths[:-1], initial=0))
 
 
-def embed_pair(provider, question: str, candidates: list[KnowledgeSnippet]) -> PairEmbedding:
+def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) -> PairEmbedding:
     """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call."""
     tokens, m, starts = _pair_tokens(question, candidates)
     return PairEmbedding(provider.embed_tokens(tokens), m, starts)
@@ -321,7 +331,7 @@ def build_vocabulary(corpus: Corpus) -> Vocabulary:
 
     The knowledge base is tokenized in one :func:`tokenize_batch` pass.
     """
-    texts = _snippet_texts(chain.from_iterable(corpus.snippets.values()))
+    texts = _snippet_texts(chain.from_iterable(map(_rows, corpus.snippets.values())))
     doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, tokenize_batch(texts)))))
     n = len(texts)
     idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in doc_freq.values()])
@@ -344,7 +354,7 @@ def _token_weights(vocab: Vocabulary, texts: list[str]) -> tuple[np.ndarray, np.
 
 
 def tfidf_rank(
-    vocab: Vocabulary, questions: list[str], candidate_sets: list[list[KnowledgeSnippet]]
+    vocab: Vocabulary, questions: list[str], candidate_sets: list[Sequence[KnowledgeSnippet]]
 ) -> np.ndarray:
     """n x L TF-IDF cosines of each question against its candidates, padded with -inf to the longest set.
 
@@ -361,7 +371,7 @@ def tfidf_rank(
         raise ValueError("need one non-empty candidate list per question, and at least one question")
     n, vocab_size = sum(widths), vocab.idf.size
     question_of = np.repeat(np.arange(len(widths)), widths)  # per candidate
-    c_keys, c_weights = _token_weights(vocab, _snippet_texts(chain.from_iterable(candidate_sets)))
+    c_keys, c_weights = _token_weights(vocab, _snippet_texts(chain.from_iterable(map(_rows, candidate_sets))))
     candidate, token = np.divmod(c_keys, vocab_size)
     q_keys, q_weights = _token_weights(vocab, questions)
     c_norms = np.sqrt(np.bincount(candidate, c_weights * c_weights, n))

@@ -75,9 +75,8 @@ def run_pipeline(
         return PipelineResult(False, probability)
     candidates = candidate_set(corpus, entity)
     dist = selection_distribution(selector_model, provider, dialog.current_turn.text, candidates)
-    top_index = rank_order(dist.probabilities)[0]
-    generation_input = format_generation_input(candidates[top_index], dialog.turns)
-    return PipelineResult(True, probability, dist, candidates[top_index].ref, generation_input)
+    top = candidates[rank_order(dist.probabilities)[0]]
+    return PipelineResult(True, probability, dist, top.ref, format_generation_input(top, dialog.turns))
 
 
 def result_to_payload(result: PipelineResult) -> dict:

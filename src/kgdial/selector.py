@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, SnippetRef, _number_array, _read_json, labeled_candidates, rank_order
+from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _number_array, _read_json, labeled_candidates, rank_order
 from .descent import _descend, check_schedule
 from .embedding import PairEmbedding, _pair_tokens, embed_pair, provider_from_description
 
@@ -149,7 +150,7 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
 
 
 def node_features(
-    question: str, candidates: list[KnowledgeSnippet], provider, bank: KernelBank
+    question: str, candidates: Sequence[KnowledgeSnippet], provider, bank: KernelBank
 ) -> np.ndarray:
     """l x K matrix of per-candidate kernel features, rows in candidate order, from one matrix."""
     pair = embed_pair(provider, question, candidates)
@@ -199,7 +200,7 @@ class SelectionDistribution:
 
     probabilities: np.ndarray
     scores: np.ndarray
-    candidates: tuple[KnowledgeSnippet, ...] | None = None
+    candidates: Sequence[KnowledgeSnippet] | None = None
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -220,7 +221,7 @@ class SelectionDistribution:
 def readout(
     features: np.ndarray,
     model: SelectorModel,
-    candidates: tuple[KnowledgeSnippet, ...] | None = None,
+    candidates: Sequence[KnowledgeSnippet] | None = None,
 ) -> SelectionDistribution:
     """Softmax over per-node readout scores, with max-subtraction for stability.
 
@@ -400,15 +401,19 @@ def _fit(
 
 
 def selection_distribution(
-    model: SelectorModel, provider, question: str, candidates: list[KnowledgeSnippet]
+    model: SelectorModel, provider, question: str, candidates: Sequence[KnowledgeSnippet]
 ) -> SelectionDistribution:
-    """End-to-end distribution over the given candidates for one question."""
+    """End-to-end distribution over the given candidates for one question.
+
+    The result carries the candidates: a given :class:`~kgdial.corpus.EntitySnippets`
+    as it is, any other sequence as a tuple.
+    """
     features = node_features(question, candidates, provider, model.kernels)
-    return readout(features, model, tuple(candidates))
+    return readout(features, model, candidates if type(candidates) is EntitySnippets else tuple(candidates))
 
 
 def rank(
-    model: SelectorModel, provider, question: str, candidates: list[KnowledgeSnippet]
+    model: SelectorModel, provider, question: str, candidates: Sequence[KnowledgeSnippet]
 ) -> list[tuple[SnippetRef, float]]:
     """Candidates with their probabilities, in :func:`~kgdial.corpus.rank_order` of readout score.
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,8 @@ class TestErrorHandling:
         pytest.param("selector", truncated, id="selector-truncated"),
         pytest.param("selector", with_field("provider", {"kind": "hashed-gaussian", "seed": 2**64, "dim": 32}),
                      id="selector-65-bit-seed"),
+        pytest.param("selector", with_field("provider", {"kind": "hashed-gaussian", "seed": 7, "dim": 4097}),
+                     id="selector-dim-past-cap"),
         pytest.param("detector", as_array, id="detector-array"),
         pytest.param("detector", with_field("hash_dim", None), id="detector-null"),
         pytest.param("detector", with_field("hash_dim", 4096.7), id="detector-fraction"),
@@ -496,6 +499,34 @@ class TestHyperparameterChecks:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "--dialogs", "100001"], "n_dialogs must be <= 100000, got 100001"),
+        (["synth", "--candidates", "1001", "--vocab-size", "5000"], "n_candidates must be <= 1000, got 1001"),
+        (["synth", "--vocab-size", "100001"], "vocab_size must be <= 100000, got 100001"),
+        (["synth", "--dialogs", "1001", "--candidates", "1000", "--vocab-size", "4000"],
+         "n_dialogs * n_candidates must be <= 1000000, got 1001000"),
+        (["train", "detect", "--hash-dim", "1048577"], "hash_dim must be <= 1048576, got 1048577"),
+        (["train", "select", "--embed-dim", "4097"], "dim must be <= 4096, got 4097"),
+    ])
+    def test_size_past_its_cap_is_rejected_without_allocating(self, tmp_path, capsys, monkeypatch, argv, message):
+        for consumer in ("synth_corpus", "load_corpus", "write_corpus"):
+            monkeypatch.setattr(cli, consumer, lambda *args: pytest.fail(f"{consumer} reached"))
+        out, model = tmp_path / "out", tmp_path / "model.json"
+        if argv[0] == "synth":
+            argv = [*argv, "--out", str(out)]
+        else:
+            argv = [*argv, *missing_corpus_flags(tmp_path), "--model", str(model)]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert peak < 2**20
+        assert not out.exists() and not model.exists()
 
     def test_bad_vectors_file_rejected_before_reading_input(self, tmp_path, capsys):
         vectors = tmp_path / "vectors.txt"

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import json
 
 import pytest
@@ -9,6 +11,7 @@ from kgdial.corpus import (
     CorpusError,
     DialogInstance,
     DialogTurn,
+    EntitySnippets,
     KnowledgeSnippet,
     MARKER_TOKEN,
     SnippetRef,
@@ -16,6 +19,7 @@ from kgdial.corpus import (
     SynthParams,
     candidate_set,
     load_corpus,
+    load_knowledge,
     synth_corpus,
     write_corpus,
 )
@@ -317,6 +321,18 @@ class TestSynthCorpus:
         with pytest.raises(ValueError, match="n_dialogs"):
             SynthParams(n_dialogs=0)
 
+    @pytest.mark.parametrize("field, cap", [("n_dialogs", 100_000), ("n_candidates", 1_000), ("vocab_size", 100_000)])
+    def test_size_caps(self, field, cap):
+        fitting = {"n_dialogs": 10, "n_candidates": 8, "vocab_size": 4000, field: cap}
+        assert getattr(SynthParams(**fitting), field) == cap
+        with pytest.raises(ValueError, match=f"^{field} must be <= {cap}, got {cap + 1}$"):
+            SynthParams(**{**fitting, field: cap + 1})
+
+    def test_document_count_cap(self):
+        assert SynthParams(n_dialogs=100_000, n_candidates=10, vocab_size=40).n_dialogs == 100_000
+        with pytest.raises(ValueError, match=r"^n_dialogs \* n_candidates must be <= 1000000, got 1001000$"):
+            SynthParams(n_dialogs=1001, n_candidates=1000, vocab_size=4000)
+
     def test_golden_present_iff_target(self):
         corpus = synth_corpus(13, SynthParams(n_dialogs=50, n_candidates=4, vocab_size=32))
         for dialog in corpus.dialogs:
@@ -385,6 +401,107 @@ class TestRoundTripProperty:
         assert list(loaded.snippets) == list(corpus.snippets)
         for key, docs in corpus.snippets.items():
             assert [(s.ref, s.text) for s in loaded.snippets[key]] == [(s.ref, s.text) for s in docs]
+            assert type(loaded.snippets[key]) is EntitySnippets
+        again = [tmp_path_factory.mktemp("round-trip") / p for p in ("k.json", "l.json", "lb.json")]
+        write_corpus(loaded, *again)
+        assert [p.read_bytes() for p in again] == [p.read_bytes() for p in paths]
+        assert load_corpus(*again) == loaded
+
+
+snippet_lists = st.lists(
+    st.builds(KnowledgeSnippet, st.text(max_size=3), st.text(max_size=3), st.text(max_size=3),
+              st.text(min_size=1, max_size=6), st.text(max_size=6)),
+    max_size=6,
+)
+
+
+class TestEntitySnippets:
+    """An entity's stored rows behave as the list of snippets they were built from."""
+
+    @given(snippets=snippet_lists)
+    def test_behaves_as_the_list(self, snippets):
+        stored = EntitySnippets(snippets)
+        n = len(snippets)
+        assert len(stored) == n
+        for i in range(-n, n):
+            assert stored[i] == snippets[i] and type(stored[i]) is KnowledgeSnippet
+        for i in (n, n + 1, -n - 1):
+            with pytest.raises(IndexError):
+                stored[i]
+        assert list(stored) == snippets and all(type(s) is KnowledgeSnippet for s in stored)
+        assert list(reversed(stored)) == snippets[::-1]
+        assert stored[1:3] == snippets[1:3] and type(stored[1:3]) is EntitySnippets
+        assert stored == snippets and snippets == stored and stored == tuple(snippets)
+        assert stored == EntitySnippets(snippets)
+        assert stored != snippets + [KnowledgeSnippet("x", "y", "z", "t", "b")]
+        assert all(s in stored for s in snippets)
+
+    @given(first=snippet_lists, second=snippet_lists)
+    def test_equal_exactly_when_the_lists_are(self, first, second):
+        assert (EntitySnippets(first) == EntitySnippets(second)) == (first == second)
+        assert (EntitySnippets(first) == second) == (first == second)
+
+    def test_rows_are_plain_tuples(self):
+        stored = EntitySnippets([KnowledgeSnippet("d", "e", "0", "q?", "a.")])
+        assert type(stored.rows) is tuple and [type(row) for row in stored.rows] == [tuple]
+
+    def test_corpus_wraps_lists_and_keeps_stored_objects(self, hotel):
+        assert all(type(docs) is EntitySnippets for docs in hotel.snippets.values())
+        again = Corpus(hotel.snippets, [])
+        assert candidate_set(again, ("hotel", "1")) is hotel.snippets[("hotel", "1")]
+
+
+def tracked_rows(corpus) -> list:
+    """Every stored row still tracked after one full collection, then every entity's tuple of rows still tracked after a second.
+
+    A pass untracks a tuple whose items are all untracked when it reaches
+    it; it may reach an entity's tuple of rows before the rows themselves,
+    and then untracks that tuple on the next pass.
+    """
+    gc.collect()
+    tracked = [row for docs in corpus.snippets.values() for row in docs.rows if gc.is_tracked(row)]
+    gc.collect()
+    return tracked + [docs.rows for docs in corpus.snippets.values() if gc.is_tracked(docs.rows)]
+
+
+class TestNoTrackedObjectPerDocument:
+    """After one collection no stored row is tracked, so a loaded knowledge base costs the collector one object per entity."""
+
+    def test_loaded_corpus(self, tmp_path):
+        paths = [tmp_path / p for p in ("k.json", "l.json", "lb.json")]
+        write_corpus(synth_corpus(4, SynthParams(n_dialogs=30, n_candidates=8)), *paths)
+        assert tracked_rows(load_corpus(*paths)) == []
+
+    def test_synthetic_corpus(self):
+        assert tracked_rows(synth_corpus(4, SynthParams(n_dialogs=30, n_candidates=8))) == []
+
+    def test_corpus_built_from_lists(self, hotel):
+        assert tracked_rows(hotel) == []
+        assert tracked_rows(Corpus({("d", "e"): [KnowledgeSnippet("d", "e", "0", "q?", "a.")]}, [])) == []
+
+    def test_load_knowledge_adds_under_three_tracked_objects_per_entity(self, tmp_path):
+        paths = [tmp_path / p for p in ("k.json", "l.json", "lb.json")]
+        write_corpus(synth_corpus(4, SynthParams(n_dialogs=400, n_candidates=32, vocab_size=128)), *paths)
+        load_knowledge(paths[0])  # objects made once per process stay out of the count
+        gc.collect()
+        before = len(gc.get_objects())
+        snippets, _ = load_knowledge(paths[0])
+        gc.collect()
+        assert len(gc.get_objects()) - before < 3 * len(snippets)
+
+
+class TestSynthBytes:
+    # The knowledge files synth wrote when each entity's snippets were a list of KnowledgeSnippet.
+    @pytest.mark.parametrize("seed, params, digest", [
+        (1, SynthParams(n_dialogs=20, n_candidates=4),
+         "b044bec9e6b5e5d06378769b0c1bdaf706beae5914644fa162858a5e52220096"),
+        (3, SynthParams(n_dialogs=12, n_candidates=64, vocab_size=288),
+         "5a9ede27cdecbd40ec41e24b06bec8997c96114293681f9051510164541942cb"),
+    ])
+    def test_knowledge_file_is_unchanged(self, tmp_path, seed, params, digest):
+        paths = [tmp_path / p for p in ("k.json", "l.json", "lb.json")]
+        write_corpus(synth_corpus(seed, params), *paths)
+        assert hashlib.sha256(paths[0].read_bytes()).hexdigest() == digest
 
 
 class TestDomainTypes:

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kgdial.corpus import DialogTurn, KnowledgeSnippet, Speaker, candidate_set
+from kgdial import corpus as corpus_module
+from kgdial.corpus import Corpus, DialogTurn, KnowledgeSnippet, Speaker, candidate_set, labeled_candidates, write_corpus
 from kgdial.detection import DetectorModel
+from kgdial.embedding import build_vocabulary, tfidf_rank
 from kgdial.fixtures import hotel_corpus
 from kgdial.pipeline import (
     BOS,
@@ -14,7 +16,7 @@ from kgdial.pipeline import (
     result_to_payload,
     run_pipeline,
 )
-from kgdial.selector import SelectorModel, default_kernel_bank
+from kgdial.selector import SelectorModel, default_kernel_bank, selection_distribution, selection_instances
 
 
 def snippet(title, body=""):
@@ -139,9 +141,10 @@ class TestResultPayload:
         assert abs(sum(payload["selection"]["probabilities"]) - 1.0) < 1e-9
 
     def test_triggered_candidate_refs_follow_stored_order(self, provider7):
-        corpus = hotel_corpus()
+        hotel = hotel_corpus()
         entity = ("hotel", "1")
-        corpus.snippets[entity].reverse()  # stored order differs from doc id and from rank order
+        # Stored order differs from doc id and from rank order.
+        corpus = Corpus({entity: list(reversed(hotel.snippets[entity]))}, hotel.dialogs, hotel.entity_names)
         result = run_pipeline(
             zero_detector(), exact_match_selector(), provider7, corpus, corpus.dialogs[0], entity,
         )
@@ -156,3 +159,31 @@ class TestResultPayload:
         assert payload["selection"] is None
         assert payload["top_snippet"] is None
         assert payload["generation_input"] is None
+
+
+class TestStoredRows:
+    """Paths that read every candidate read the stored rows and build no KnowledgeSnippet."""
+
+    def test_hot_paths_build_no_snippet(self, monkeypatch, small_corpus, provider7, bank11, tmp_path):
+        built = []
+        monkeypatch.setattr(corpus_module, "_snippet", lambda row: built.append(row) or KnowledgeSnippet(*row))
+        dialog = next(d for d in small_corpus.dialogs if d.target)
+        entity = (dialog.golden.domain, dialog.golden.entity_id)
+        candidates = candidate_set(small_corpus, entity)
+        assert candidates is small_corpus.snippets[entity]
+        dist = selection_distribution(exact_match_selector(), provider7, dialog.current_turn.text, candidates)
+        assert dist.candidates is candidates
+        labeled = list(labeled_candidates(small_corpus))
+        tfidf_rank(build_vocabulary(small_corpus), [d.current_turn.text for d, _, _ in labeled],
+                   [c for _, c, _ in labeled])
+        selection_instances(small_corpus, provider7, bank11)
+        write_corpus(small_corpus, tmp_path / "k.json", tmp_path / "l.json", tmp_path / "lb.json")
+        assert built == []
+        result = run_pipeline(zero_detector(), exact_match_selector(), provider7, small_corpus, dialog, entity)
+        assert result.triggered and len(built) == 1  # the top snippet only
+        assert built[0][:3] == tuple(result.top_snippet)
+
+    def test_a_list_of_candidates_is_carried_as_a_tuple(self, provider7):
+        candidates = [snippet("parking?", "yes."), snippet("pool?", "no.")]
+        dist = selection_distribution(exact_match_selector(), provider7, "parking?", candidates)
+        assert type(dist.candidates) is tuple and dist.candidates == tuple(candidates)
