@@ -5,6 +5,8 @@ history from the beginning, every turn prefixed by its speaker tag). Its one
 feature form is a list of columns: a hashed column per word unigram and bigram,
 then a turn-count bucket. A bias-free sigmoid linear model sums its weights at
 those columns, trained with full-batch gradient descent on binary log loss.
+Training descends over the columns its corpus's features use, not all
+``hash_dim + turn_buckets`` weights, and scores each weight vector once.
 
 N-grams are bucketed with CRC-32 (feature hashing needs a stable hash that
 spreads its inputs, not a cryptographic one). The hash decides which weight
@@ -82,15 +84,23 @@ def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int
 # Largest ``hash_dim`` (``--hash-dim``): 2**20 weights take 8 MB.
 MAX_HASH_DIM = 2**20
 
+# Largest ``turn_buckets`` (``--turn-buckets``): each bucket is one weight, and a
+# dialog of t turns reads bucket min(t, turn_buckets), so buckets past the
+# longest dialog are never trained; 1024 is far more turns than a dialog holds.
+MAX_TURN_BUCKETS = 1024
+
 
 def check_detector_shape(hash_dim: int, turn_buckets: int, threshold: float) -> None:
-    """Reject a detector with ``hash_dim`` outside [16, ``MAX_HASH_DIM``], ``turn_buckets`` < 1 or ``threshold`` outside (0, 1)."""
+    """Reject a detector with ``hash_dim`` outside [16, ``MAX_HASH_DIM``], ``turn_buckets``
+    outside [1, ``MAX_TURN_BUCKETS``] or ``threshold`` outside (0, 1)."""
     if hash_dim < 16:
         raise ValueError(f"hash_dim must be >= 16, got {hash_dim}")
     if hash_dim > MAX_HASH_DIM:
         raise ValueError(f"hash_dim must be <= {MAX_HASH_DIM}, got {hash_dim}")
     if turn_buckets < 1:
         raise ValueError(f"turn_buckets must be >= 1, got {turn_buckets}")
+    if turn_buckets > MAX_TURN_BUCKETS:
+        raise ValueError(f"turn_buckets must be <= {MAX_TURN_BUCKETS}, got {turn_buckets}")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
 
@@ -207,7 +217,10 @@ def train_detector(
     Training never holds the dense n x (hash_dim + turn_buckets) matrix: the
     dialogs' :func:`featurize` columns are built in one batch and
     concatenated, and both mat-vecs are ``np.bincount`` sums over their
-    (row, column) pairs.
+    (row, column) pairs. The descent runs over the distinct columns the
+    corpus uses only, so an epoch costs the same at any ``hash_dim``; every
+    other weight has a zero gradient and stays +0.0. Each weight vector is
+    scored once: the accepted trial's scores serve the next epoch's gradient.
     """
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
@@ -215,22 +228,29 @@ def train_detector(
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")
-    n, dim = len(labels), hyper.hash_dim + hyper.turn_buckets
+    n = len(labels)
+    active, local = np.unique(columns, return_inverse=True)
     rows = np.repeat(np.arange(n), lengths)
+    signs = 1.0 - 2.0 * labels
+    scored = [None, None]  # the weight vector last scored (the object itself) and its scores
 
     def scores(weights):
-        return np.bincount(rows, weights=weights[columns], minlength=n)
+        if scored[0] is not weights:
+            scored[:] = weights, np.bincount(rows, weights=weights[local], minlength=n)
+        return scored[1]
 
     def loss(weights):
-        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores(weights)).mean())
+        return float(np.logaddexp(0.0, signs * scores(weights)).mean())
 
     def gradient(weights):
         residual = _sigmoid_vector(scores(weights)) - labels
-        return np.bincount(columns, weights=residual[rows], minlength=dim) / n
+        return np.bincount(local, weights=residual[rows], minlength=active.size) / n
 
-    weights, losses = _descend(
-        loss, gradient, np.zeros(dim), hyper.lr, hyper.epochs, hyper.line_search,
+    descended, losses = _descend(
+        loss, gradient, np.zeros(active.size), hyper.lr, hyper.epochs, hyper.line_search,
     )
+    weights = np.zeros(hyper.hash_dim + hyper.turn_buckets)
+    weights[active] = descended
     model = DetectorModel(weights, hyper.hash_dim, hyper.turn_buckets, hyper.threshold)
     return model, losses
 

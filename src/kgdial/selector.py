@@ -35,6 +35,12 @@ EXACT_SIGMA = 1e-3
 
 SOFT_SIGMA = 0.1
 
+# Largest kernel bank (``--kernels``, a selector file's ``mus``). Kernel pooling
+# holds K responses per similarity entry, so K multiplies featurizing's largest
+# array (about 6 times the default 11's at the cap); and 63 soft kernels of
+# width SOFT_SIGMA already sit 0.032 apart, three to a width.
+MAX_KERNELS = 64
+
 # Embedding rows featurized together by selection_instances: bounds its memory
 # (about 1.8 MB per call on 8- and 64-candidate corpora) whatever the corpus size.
 CHUNK_ROWS = 2048
@@ -56,6 +62,8 @@ class KernelBank:
             raise ValueError("mus and sigmas must be equal-length vectors")
         if mus.size < 2:
             raise ValueError(f"need at least 2 kernels, got {mus.size}")
+        if mus.size > MAX_KERNELS:
+            raise ValueError(f"need at most {MAX_KERNELS} kernels, got {mus.size}")
         if not np.all((sigmas > 0) & np.isfinite(sigmas)):
             raise ValueError("sigmas must be positive and finite")
         if not np.all(np.abs(mus) <= 1):
@@ -80,6 +88,8 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
     """
     if n_kernels < 2:
         raise ValueError(f"n_kernels must be >= 2, got {n_kernels}")
+    if n_kernels > MAX_KERNELS:
+        raise ValueError(f"n_kernels must be <= {MAX_KERNELS}, got {n_kernels}")
     n_soft = n_kernels - 1
     mus = [-1.0 + (2 * i + 1) / n_soft for i in range(n_soft)] + [EXACT_MU]
     sigmas = [SOFT_SIGMA] * n_soft + [EXACT_SIGMA]

@@ -130,6 +130,45 @@ def oracle_detector_features(serialized: str, turn_count: int, hash_dim: int, tu
     return values
 
 
+def full_width_detector_descent(dialog_columns, labels, dim: int, lr: float, epochs: int, line_search: bool):
+    """The detector trainer as it was before it narrowed to the used columns, kept as a reference.
+
+    Takes each dialog's ``featurize`` columns. Every epoch scores the weights
+    for the gradient, a ``bincount`` over all ``dim`` columns, and scores each
+    trial again for its loss. Line search halves the step up to 60 times.
+    Returns the weights, the loss trajectory and the number of rejected trials.
+    """
+    columns = np.array([c for row in dialog_columns for c in row], dtype=np.int64)
+    rows = np.repeat(np.arange(len(dialog_columns)), [len(row) for row in dialog_columns])
+    labels = np.asarray(labels, dtype=float)
+    n = len(labels)
+
+    def scores(weights):
+        return np.bincount(rows, weights=weights[columns], minlength=n)
+
+    def loss(weights):
+        return float(np.logaddexp(0.0, (1.0 - 2.0 * labels) * scores(weights)).mean())
+
+    weights = np.zeros(dim)
+    losses = [loss(weights)]
+    rejected = 0
+    for _ in range(epochs):
+        z = scores(weights)
+        residual = np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z))) - labels
+        direction = np.bincount(columns, weights=residual[rows], minlength=dim) / n
+        step, current = lr, losses[-1]
+        for _ in range(60 if line_search else 1):
+            trial = weights - step * direction
+            trial_loss = loss(trial)
+            if trial_loss <= current or not line_search:
+                weights, current = trial, trial_loss
+                break
+            rejected += 1
+            step /= 2
+        losses.append(current)
+    return weights, losses, rejected
+
+
 def oracle_golden_position(scores, golden_index: int) -> tuple[int, int]:
     """1-based rank of the golden candidate under (score desc, index asc), plus its tie count."""
     golden_score = scores[golden_index]
@@ -186,6 +225,12 @@ def finite_difference_gradient(loss_of_weights, weights: np.ndarray, h: float = 
 def with_field(key, value):
     """Edit of a JSON object's text that sets ``key`` to ``value``."""
     return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+def with_kernels(size: int):
+    """Edit of a selector file's text that gives it ``size`` kernels: soft ones at 0, then the exact-match one."""
+    return lambda text: json.dumps({**json.loads(text), "mus": [0.0] * (size - 1) + [1.0],
+                                    "sigmas": [0.1] * (size - 1) + [1e-3]})
 
 
 def with_literal(key, index, literal: str):

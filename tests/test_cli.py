@@ -24,7 +24,7 @@ from kgdial.selector import (
     save_selector,
 )
 
-from helpers import as_array, truncated, with_field, with_literal, without_field
+from helpers import as_array, truncated, with_field, with_kernels, with_literal, without_field
 
 
 def count_calls(monkeypatch, home, name) -> list:
@@ -374,7 +374,10 @@ class TestErrorHandling:
                      id="selector-65-bit-seed"),
         pytest.param("selector", with_field("provider", {"kind": "hashed-gaussian", "seed": 7, "dim": 4097}),
                      id="selector-dim-past-cap"),
+        pytest.param("selector", with_kernels(selector.MAX_KERNELS + 1), id="selector-kernels-past-cap"),
         pytest.param("detector", as_array, id="detector-array"),
+        pytest.param("detector", with_field("turn_buckets", detection.MAX_TURN_BUCKETS + 1),
+                     id="detector-turn-buckets-past-cap"),
         pytest.param("detector", with_field("hash_dim", None), id="detector-null"),
         pytest.param("detector", with_field("hash_dim", 4096.7), id="detector-fraction"),
         pytest.param("detector", truncated, id="detector-truncated"),
@@ -508,6 +511,8 @@ class TestHyperparameterChecks:
          "n_dialogs * n_candidates must be <= 1000000, got 1001000"),
         (["train", "detect", "--hash-dim", "1048577"], "hash_dim must be <= 1048576, got 1048577"),
         (["train", "select", "--embed-dim", "4097"], "dim must be <= 4096, got 4097"),
+        (["train", "detect", "--turn-buckets", "1025"], "turn_buckets must be <= 1024, got 1025"),
+        (["train", "select", "--kernels", "65"], "n_kernels must be <= 64, got 65"),
     ])
     def test_size_past_its_cap_is_rejected_without_allocating(self, tmp_path, capsys, monkeypatch, argv, message):
         for consumer in ("synth_corpus", "load_corpus", "write_corpus"):

@@ -34,6 +34,7 @@ from kgdial.evaluation import evaluate_detector
 
 from helpers import (
     as_array,
+    full_width_detector_descent,
     oracle_detector_features,
     oracle_ngram_index,
     truncated,
@@ -185,6 +186,12 @@ class TestDetectorModel:
         with pytest.raises(ValueError, match="finite"):
             DetectorModel(np.full(18, np.inf), 16, 2, 0.5)
 
+    def test_turn_buckets_cap(self):
+        cap = detection.MAX_TURN_BUCKETS
+        assert DetectorModel(np.zeros(16 + cap), 16, cap, 0.5).turn_buckets == cap
+        with pytest.raises(ValueError, match=f"^turn_buckets must be <= {cap}, got {cap + 1}$"):
+            DetectorModel(np.zeros(16 + cap + 1), 16, cap + 1, 0.5)
+
 
 BAD_DETECTOR_HYPERS = [
     ({"hash_dim": 8}, "hash_dim must be >= 16"),
@@ -195,6 +202,7 @@ BAD_DETECTOR_HYPERS = [
     ({"lr": -3.0}, "lr must be finite and >= 0"),
     ({"lr": math.nan}, "lr must be finite and >= 0"),
     ({"lr": math.inf}, "lr must be finite and >= 0"),
+    ({"turn_buckets": detection.MAX_TURN_BUCKETS + 1}, f"turn_buckets must be <= {detection.MAX_TURN_BUCKETS}"),
 ]
 
 
@@ -310,6 +318,82 @@ class TestSparseTraining:
             tracemalloc.stop()
         # The dense 1000 x 4112 float64 matrix alone is 33 MB.
         assert peak < 8 * 2**20
+
+
+class TestColumnDescent:
+    """Training over the used columns, one score pass per weight vector, equals the full-width trainer."""
+
+    WORDS = ["room", "room", "wifi", "free", "parking", "Ünï", "?"]
+
+    def test_equals_full_width_trainer_bit_for_bit(self):
+        rejections = []
+
+        @settings(deadline=None, max_examples=60)
+        @given(case=st.data())
+        def check(case):
+            hash_dim = case.draw(st.sampled_from([16, 4096]))  # 16 makes n-grams collide
+            turn_buckets = case.draw(st.integers(1, 4))
+            line_search = case.draw(st.booleans())
+            hyper = DetectorHyper(hash_dim=hash_dim, turn_buckets=turn_buckets, line_search=line_search,
+                                  lr=case.draw(st.sampled_from([0.5, 8.0, 64.0])), epochs=case.draw(st.integers(0, 12)))
+            dialogs = []
+            for i, target in enumerate([True, False] + case.draw(st.lists(st.booleans(), max_size=6))):
+                n_turns = case.draw(st.sampled_from([1, 3, 6]))
+                texts = case.draw(st.lists(st.lists(st.sampled_from(self.WORDS), max_size=8).map(" ".join),
+                                           min_size=n_turns, max_size=n_turns))
+                speakers = [Speaker.USER if (n_turns - 1 - t) % 2 == 0 else Speaker.SYS for t in range(n_turns)]
+                dialogs.append(DialogInstance(f"d{i:04d}", tuple(map(DialogTurn, speakers, texts)), target))
+            dialog_columns = [featurize(serialize_dialog(d), len(d.turns), hash_dim, turn_buckets) for d in dialogs]
+            weights, losses, rejected = full_width_detector_descent(
+                dialog_columns, [d.target for d in dialogs], hash_dim + turn_buckets,
+                hyper.lr, hyper.epochs, hyper.line_search,
+            )
+            rejections.append(rejected)
+            model, trained_losses = train_detector(Corpus({}, dialogs), hyper)
+            assert np.array_equal(model.weights, weights)
+            assert model.weights.tobytes() == weights.tobytes()  # the sign of every zero too
+            assert trained_losses == losses
+            unused = np.ones(model.weights.size, dtype=bool)
+            unused[[c for row in dialog_columns for c in row]] = False
+            assert not np.signbit(model.weights[unused]).any()
+
+        check()
+        assert max(rejections) > 0  # some drawn case took the line search's rejected-trial branch
+
+    @pytest.mark.parametrize("line_search", [False, True])
+    def test_one_score_pass_per_weight_vector(self, small_corpus, monkeypatch, line_search):
+        class CountingNumpy:
+            bincounts = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def bincount(self, *args, **kwargs):
+                CountingNumpy.bincounts += 1
+                return np.bincount(*args, **kwargs)
+
+        monkeypatch.setattr(detection, "np", CountingNumpy())
+        epochs = 10
+        _, losses = train_detector(small_corpus, DetectorHyper(epochs=epochs, line_search=line_search))
+        assert len(losses) == epochs + 1
+        # The initial scores, then per epoch one gradient and the accepted trial's scores, which
+        # the next gradient reuses (at the default lr the line search rejects no trial here).
+        assert CountingNumpy.bincounts == 1 + 2 * epochs
+
+    def test_descends_over_the_used_columns_only(self, small_corpus, monkeypatch):
+        widths = []
+
+        def recording(loss, gradient, w0, *args):
+            widths.append(w0.size)
+            return descend(loss, gradient, w0, *args)
+
+        descend = detection._descend
+        monkeypatch.setattr(detection, "_descend", recording)
+        for hash_dim in (16, 4096, detection.MAX_HASH_DIM):
+            model, _ = train_detector(small_corpus, DetectorHyper(hash_dim=hash_dim, epochs=2))
+            columns, _ = detection._featurize_batch(small_corpus.dialogs, hash_dim, 16)
+            assert widths[-1] == np.unique(columns).size < 300
+            assert model.weights.size == hash_dim + 16
 
 
 class TestDetect:

@@ -25,6 +25,7 @@ from kgdial.selector import (
     EXACT_MU,
     EXACT_SIGMA,
     KERNEL_EPS,
+    MAX_KERNELS,
     KernelBank,
     SelectionDistribution,
     SelectorHyper,
@@ -101,6 +102,13 @@ class TestKernelBank:
             KernelBank(np.array([1.0, 1.0]), np.array([EXACT_SIGMA, EXACT_SIGMA]))
         with pytest.raises(ValueError, match="n_kernels"):
             default_kernel_bank(1)
+
+    def test_size_cap(self):
+        assert default_kernel_bank(MAX_KERNELS).size == MAX_KERNELS
+        with pytest.raises(ValueError, match=f"^n_kernels must be <= {MAX_KERNELS}, got {MAX_KERNELS + 1}$"):
+            default_kernel_bank(MAX_KERNELS + 1)
+        with pytest.raises(ValueError, match=f"^need at most {MAX_KERNELS} kernels, got {MAX_KERNELS + 1}$"):
+            KernelBank(np.array([0.0] * MAX_KERNELS + [EXACT_MU]), np.array([0.1] * MAX_KERNELS + [EXACT_SIGMA]))
 
 
 # Vector entries of magnitude 1e-3 to 1e10, log-uniform: a 1e150 scale-up overflows many squared norms.
