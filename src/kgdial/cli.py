@@ -101,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     select_p.add_argument("--kernels", dest="n_kernels", type=int, default=SelectorHyper.n_kernels)
     select_p.add_argument("--attention", dest="attention_flag", action="store_true")
     select_p.add_argument("--line-search", action="store_true")
-    select_p.add_argument("--embed-seed", type=int, default=7)
-    select_p.add_argument("--embed-dim", type=int, default=32)
-    select_p.add_argument("--vectors", help="token vector file (overrides hashed embeddings)")
+    select_p.add_argument("--embed-seed", type=int, help="hashed embedding seed (default 7)")
+    select_p.add_argument("--embed-dim", type=int, help="hashed embedding dimension (default 32)")
+    select_p.add_argument("--vectors", help="token vector file, in place of hashed embeddings")
 
     eval_p = commands.add_parser("eval", help="evaluate models and report metrics")
     _add_corpus_flags(eval_p, labels_required=True)
@@ -169,11 +169,14 @@ def cmd_train_detect(args) -> int:
 def cmd_train_select(args) -> int:
     hyper = _from_args(SelectorHyper, args)
     bank = default_kernel_bank(hyper.n_kernels)
-    provider = (
-        FileVectors(args.vectors)
-        if args.vectors
-        else HashedGaussianVectors(args.embed_seed, args.embed_dim)
-    )
+    if args.vectors:
+        if args.embed_seed is not None or args.embed_dim is not None:
+            raise ValueError("--embed-seed and --embed-dim apply to hashed embeddings, not to --vectors")
+        provider = FileVectors(args.vectors)
+    else:
+        provider = HashedGaussianVectors(
+            7 if args.embed_seed is None else args.embed_seed, 32 if args.embed_dim is None else args.embed_dim
+        )
     corpus = load_corpus(args.knowledge, args.logs, args.labels)
     instances = selection_instances(corpus, provider, bank)
     model, losses = _fit(instances, bank, hyper)

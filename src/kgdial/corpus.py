@@ -197,27 +197,27 @@ def _duplicate_rejecting_pairs(pairs):
     return obj
 
 
-def _read_json(path):
-    """The JSON value in ``path``.
+def _load(path, parse):
+    """``parse`` applied to the JSON value in ``path``: the one place a load error gets its file's path.
 
-    Bytes that are not UTF-8, a parse error, nesting too deep for the parser
-    and a key repeated within one object raise CorpusError, its message
-    starting with the path.
+    Bytes that are not UTF-8, a parse error, nesting too deep for the parser,
+    a key repeated within one object, and a KeyError (a missing field),
+    ValueError, TypeError or OverflowError out of parsing or ``parse`` raise
+    CorpusError, its message starting with the path. An OSError passes as it is.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_duplicate_rejecting_pairs))
     except UnicodeDecodeError as exc:
-        raise CorpusError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-    try:
-        return json.loads(text, object_pairs_hook=_duplicate_rejecting_pairs)
+        message = f"not UTF-8: {exc.reason} at byte {exc.start}"
     except json.JSONDecodeError as exc:
-        raise CorpusError(
-            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        message = f"parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
     except RecursionError:
-        raise CorpusError(f"{path}: JSON nested too deeply to parse") from None
-    except CorpusError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+        message = "JSON nested too deeply to parse"
+    except KeyError as exc:
+        message = f"missing field {exc.args[0]!r}"
+    except (ValueError, TypeError, OverflowError) as exc:
+        message = str(exc)
+    raise CorpusError(f"{path}: {message}") from None
 
 
 def _number_array(payload: dict, key: str) -> np.ndarray:
@@ -226,6 +226,40 @@ def _number_array(payload: dict, key: str) -> np.ndarray:
     if not isinstance(values, list) or any(type(v) not in (int, float) for v in values):
         raise ValueError(f"{key!r} must be an array of numbers")
     return np.array(values, dtype=float)
+
+
+def _parse_knowledge(raw) -> tuple[dict[tuple[str, str], EntitySnippets], dict[tuple[str, str], str]]:
+    if not isinstance(raw, dict):
+        raise CorpusError("expected a domain -> entities object")
+    snippets: dict[tuple[str, str], EntitySnippets] = {}
+    names: dict[tuple[str, str], str] = {}
+    for domain, entities in raw.items():
+        if not isinstance(entities, dict):
+            raise CorpusError(f"domain {domain!r}: expected an object")
+        for entity_id, entity in entities.items():
+            if not isinstance(entity, dict) or "docs" not in entity:
+                raise CorpusError(f"entity ({domain!r}, {entity_id!r}): missing 'docs'")
+            docs = entity["docs"]
+            if not isinstance(docs, dict) or not docs:
+                raise CorpusError(f"entity ({domain!r}, {entity_id!r}): 'docs' must be a non-empty object")
+            key = (domain, entity_id)
+            name = entity.get("name")
+            if name is not None and not isinstance(name, str):
+                raise CorpusError(f"entity ({domain!r}, {entity_id!r}): 'name' must be a string")
+            names[key] = name or ""
+            listed = []
+            for doc_id, doc in docs.items():
+                if not isinstance(doc, dict) or not isinstance(doc.get("title"), str):
+                    raise CorpusError(f"doc ({domain!r}, {entity_id!r}, {doc_id!r}): missing string 'title'")
+                title = doc["title"]
+                if not title:
+                    raise CorpusError(f"doc ({domain!r}, {entity_id!r}, {doc_id!r}): title is empty")
+                body = doc.get("body", "")
+                if not isinstance(body, str):
+                    raise CorpusError(f"doc ({domain!r}, {entity_id!r}, {doc_id!r}): 'body' must be a string")
+                listed.append((domain, entity_id, doc_id, title, body))
+            snippets[key] = EntitySnippets(listed)
+    return snippets, names
 
 
 def load_knowledge(
@@ -237,115 +271,87 @@ def load_knowledge(
     names that are neither a string nor null. Returns the snippet map and the
     entity display names; a missing or null name is "".
     """
-    raw = _read_json(knowledge_path)
-    if not isinstance(raw, dict):
-        raise CorpusError(f"{knowledge_path}: expected a domain -> entities object")
-    snippets: dict[tuple[str, str], EntitySnippets] = {}
-    names: dict[tuple[str, str], str] = {}
-    for domain, entities in raw.items():
-        if not isinstance(entities, dict):
-            raise CorpusError(f"{knowledge_path}: domain {domain!r}: expected an object")
-        for entity_id, entity in entities.items():
-            if not isinstance(entity, dict) or "docs" not in entity:
-                raise CorpusError(
-                    f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): missing 'docs'"
-                )
-            docs = entity["docs"]
-            if not isinstance(docs, dict) or not docs:
-                raise CorpusError(
-                    f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): 'docs' must be a non-empty object"
-                )
-            key = (domain, entity_id)
-            name = entity.get("name")
-            if name is not None and not isinstance(name, str):
-                raise CorpusError(
-                    f"{knowledge_path}: entity ({domain!r}, {entity_id!r}): 'name' must be a string"
-                )
-            names[key] = name or ""
-            listed = []
-            for doc_id, doc in docs.items():
-                if not isinstance(doc, dict) or not isinstance(doc.get("title"), str):
-                    raise CorpusError(
-                        f"{knowledge_path}: doc ({domain!r}, {entity_id!r}, {doc_id!r}): missing string 'title'"
-                    )
-                title = doc["title"]
-                if not title:
-                    raise CorpusError(
-                        f"{knowledge_path}: doc ({domain!r}, {entity_id!r}, {doc_id!r}): title is empty"
-                    )
-                body = doc.get("body", "")
-                if not isinstance(body, str):
-                    raise CorpusError(
-                        f"{knowledge_path}: doc ({domain!r}, {entity_id!r}, {doc_id!r}): 'body' must be a string"
-                    )
-                listed.append((domain, entity_id, doc_id, title, body))
-            snippets[key] = EntitySnippets(listed)
-    return snippets, names
+    return _load(knowledge_path, _parse_knowledge)
 
 
-def _parse_turns(logs_path, index: int, raw_dialog) -> tuple[DialogTurn, ...]:
+def _parse_turns(index: int, raw_dialog) -> tuple[DialogTurn, ...]:
     dialog_id = _dialog_id(index)
     if not isinstance(raw_dialog, list) or not raw_dialog:
-        raise CorpusError(f"{logs_path}: dialog {dialog_id}: expected a non-empty turn array")
+        raise CorpusError(f"dialog {dialog_id}: expected a non-empty turn array")
     turns = []
     for turn_no, raw_turn in enumerate(raw_dialog):
         if not isinstance(raw_turn, dict):
-            raise CorpusError(f"{logs_path}: dialog {dialog_id} turn {turn_no}: expected an object")
+            raise CorpusError(f"dialog {dialog_id} turn {turn_no}: expected an object")
         speaker_code = raw_turn.get("speaker")
         try:
             speaker = Speaker(speaker_code)
         except ValueError:
             raise CorpusError(
-                f"{logs_path}: dialog {dialog_id} turn {turn_no}: speaker must be 'U' or 'S', got {speaker_code!r}"
+                f"dialog {dialog_id} turn {turn_no}: speaker must be 'U' or 'S', got {speaker_code!r}"
             ) from None
         text = raw_turn.get("text")
         if not isinstance(text, str) or not text.strip():
-            raise CorpusError(
-                f"{logs_path}: dialog {dialog_id} turn {turn_no}: text must be a non-empty string"
-            )
+            raise CorpusError(f"dialog {dialog_id} turn {turn_no}: text must be a non-empty string")
         turns.append(DialogTurn(speaker, text))
     if turns[-1].speaker is not Speaker.USER:
-        raise CorpusError(f"{logs_path}: dialog {dialog_id}: last turn must be a user turn")
+        raise CorpusError(f"dialog {dialog_id}: last turn must be a user turn")
     return tuple(turns)
 
 
-def _parse_label(labels_path, index: int, raw_label) -> tuple[bool, SnippetRef | None, str | None]:
+def _parse_logs(raw_logs) -> list[tuple[DialogTurn, ...]]:
+    if not isinstance(raw_logs, list):
+        raise CorpusError("expected an array of dialogs")
+    return [_parse_turns(index, raw_dialog) for index, raw_dialog in enumerate(raw_logs)]
+
+
+def _parse_label(corpus: Corpus, index: int, raw_label) -> tuple[bool, SnippetRef | None, str | None]:
+    """``(target, golden, response)`` of one label; a golden reference must resolve in ``corpus``."""
     dialog_id = _dialog_id(index)
     if not isinstance(raw_label, dict) or not isinstance(raw_label.get("target"), bool):
-        raise CorpusError(f"{labels_path}: dialog {dialog_id}: label must carry a boolean 'target'")
+        raise CorpusError(f"dialog {dialog_id}: label must carry a boolean 'target'")
     target = raw_label["target"]
     knowledge = raw_label.get("knowledge")
     if knowledge is None:
         knowledge = []
     elif not isinstance(knowledge, list):
-        raise CorpusError(f"{labels_path}: dialog {dialog_id}: 'knowledge' must be an array")
+        raise CorpusError(f"dialog {dialog_id}: 'knowledge' must be an array")
     if not target:
         if knowledge:
-            raise CorpusError(
-                f"{labels_path}: dialog {dialog_id}: non-target label must not carry knowledge"
-            )
+            raise CorpusError(f"dialog {dialog_id}: non-target label must not carry knowledge")
         return False, None, None
     if len(knowledge) != 1:
         raise CorpusError(
-            f"{labels_path}: dialog {dialog_id}: expected exactly one golden knowledge reference, got {len(knowledge)}"
+            f"dialog {dialog_id}: expected exactly one golden knowledge reference, got {len(knowledge)}"
         )
     entry = knowledge[0]
     if not isinstance(entry, dict):
-        raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry must be an object")
+        raise CorpusError(f"dialog {dialog_id}: knowledge entry must be an object")
     for key in SnippetRef._fields:
         if key not in entry:
-            raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry missing {key!r}")
+            raise CorpusError(f"dialog {dialog_id}: knowledge entry missing {key!r}")
         if not isinstance(entry[key], str):
-            raise CorpusError(f"{labels_path}: dialog {dialog_id}: knowledge entry {key!r} must be a string")
+            raise CorpusError(f"dialog {dialog_id}: knowledge entry {key!r} must be a string")
     ref = SnippetRef(entry["domain"], entry["entity_id"], entry["doc_id"])
     response = raw_label.get("response")
     if response is not None and not isinstance(response, str):
-        raise CorpusError(f"{labels_path}: dialog {dialog_id}: 'response' must be a string")
+        raise CorpusError(f"dialog {dialog_id}: 'response' must be a string")
+    if corpus.find_snippet(ref) is None:
+        raise CorpusError(
+            f"dialog {dialog_id}: golden reference ({ref.domain!r}, {ref.entity_id!r}, {ref.doc_id!r}) not in knowledge base"
+        )
     return True, ref, response
 
 
+def _parse_labels(corpus: Corpus, n_dialogs: int, raw_labels) -> list[tuple[bool, SnippetRef | None, str | None]]:
+    if not isinstance(raw_labels, list):
+        raise CorpusError("expected an array of labels")
+    if len(raw_labels) != n_dialogs:
+        raise CorpusError(f"{len(raw_labels)} labels for {n_dialogs} dialogs")
+    return [_parse_label(corpus, index, raw_label) for index, raw_label in enumerate(raw_labels)]
+
+
 def load_corpus(knowledge_path, logs_path, labels_path=None) -> Corpus:
-    """Load and validate a corpus from its knowledge, logs, and labels files.
+    """Load and validate a corpus from its knowledge, logs, and labels files, in that order.
 
     Without a labels file every dialog is unlabeled (``target`` false, no
     golden reference). Raises :class:`CorpusError` on parse errors (with
@@ -353,32 +359,17 @@ def load_corpus(knowledge_path, logs_path, labels_path=None) -> Corpus:
     labels, and golden references that do not resolve in the knowledge base.
     """
     snippets, names = load_knowledge(knowledge_path)
-    raw_logs = _read_json(logs_path)
-    if not isinstance(raw_logs, list):
-        raise CorpusError(f"{logs_path}: expected an array of dialogs")
-
-    raw_labels = None
-    if labels_path is not None:
-        raw_labels = _read_json(labels_path)
-        if not isinstance(raw_labels, list):
-            raise CorpusError(f"{labels_path}: expected an array of labels")
-        if len(raw_labels) != len(raw_logs):
-            raise CorpusError(
-                f"{labels_path}: {len(raw_labels)} labels for {len(raw_logs)} dialogs"
-            )
-
     corpus = Corpus(snippets, [], names)
-    for index, raw_dialog in enumerate(raw_logs):
-        turns = _parse_turns(logs_path, index, raw_dialog)
-        target, golden, response = (False, None, None)
-        if raw_labels is not None:
-            target, golden, response = _parse_label(labels_path, index, raw_labels[index])
-            if golden is not None and corpus.find_snippet(golden) is None:
-                raise CorpusError(
-                    f"{labels_path}: dialog {_dialog_id(index)}: golden reference "
-                    f"({golden.domain!r}, {golden.entity_id!r}, {golden.doc_id!r}) not in knowledge base"
-                )
-        corpus.dialogs.append(DialogInstance(_dialog_id(index), turns, target, golden, response))
+    dialog_turns = _load(logs_path, _parse_logs)
+    labels = (
+        [(False, None, None)] * len(dialog_turns)
+        if labels_path is None
+        else _load(labels_path, partial(_parse_labels, corpus, len(dialog_turns)))
+    )
+    corpus.dialogs = [
+        DialogInstance(_dialog_id(index), turns, *label)
+        for index, (turns, label) in enumerate(zip(dialog_turns, labels))
+    ]
     return corpus
 
 
@@ -418,8 +409,9 @@ def labeled_candidates(corpus: Corpus):
 
 
 def _write_json(payload, path) -> None:
+    """Write ``payload`` as UTF-8 JSON; a lone surrogate (a path byte that is not UTF-8) is written as its ``\\u`` escape."""
     Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+        json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8", errors="backslashreplace"
     )
 
 

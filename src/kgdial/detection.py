@@ -17,16 +17,14 @@ rejected at load and must be retrained.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, DialogInstance, Speaker, _number_array, _read_json
+from .corpus import Corpus, DialogInstance, Speaker, _load, _number_array, _write_json
 from .descent import _descend, check_schedule
 from .embedding import tokenize, tokenize_batch
 
@@ -264,36 +262,31 @@ def save_detector(model: DetectorModel, path) -> None:
         "threshold": model.threshold,
         "weights": model.weights.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(payload, path)
+
+
+def _parse_detector(payload) -> DetectorModel:
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    for key in ("hash_dim", "turn_buckets"):
+        if type(payload[key]) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
+    if type(payload["threshold"]) not in (int, float):
+        raise ValueError(f"'threshold' must be a number, got {payload['threshold']!r}")
+    if "ngram_hash" not in payload:
+        raise ValueError(f"no 'ngram_hash' field, so not hashed with {NGRAM_HASH!r}: retrain the detector")
+    if payload["ngram_hash"] != NGRAM_HASH:
+        raise ValueError(f"'ngram_hash' is {payload['ngram_hash']!r}, not {NGRAM_HASH!r}: retrain the detector")
+    return DetectorModel(
+        _number_array(payload, "weights"), payload["hash_dim"], payload["turn_buckets"], float(payload["threshold"])
+    )
 
 
 def load_detector(path) -> DetectorModel:
     """Read a model file written by :func:`save_detector`.
 
-    A malformed file raises ValueError with a message that starts with ``path``,
+    A malformed file raises CorpusError (a ValueError) with a message that starts with ``path``,
     as does a file whose ``ngram_hash`` is missing or is not :data:`NGRAM_HASH`:
     its weights belong to other buckets, so the detector must be retrained.
     """
-    payload = _read_json(path)
-    try:
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object")
-        for key in ("hash_dim", "turn_buckets"):
-            if type(payload[key]) is not int:
-                raise ValueError(f"{key!r} must be an integer, got {payload[key]!r}")
-        if type(payload["threshold"]) not in (int, float):
-            raise ValueError(f"'threshold' must be a number, got {payload['threshold']!r}")
-        if "ngram_hash" not in payload:
-            raise ValueError(f"no 'ngram_hash' field, so not hashed with {NGRAM_HASH!r}: retrain the detector")
-        if payload["ngram_hash"] != NGRAM_HASH:
-            raise ValueError(f"'ngram_hash' is {payload['ngram_hash']!r}, not {NGRAM_HASH!r}: retrain the detector")
-        return DetectorModel(
-            _number_array(payload, "weights"),
-            payload["hash_dim"],
-            payload["turn_buckets"],
-            float(payload["threshold"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _load(path, _parse_detector)

@@ -13,16 +13,14 @@ knowledge tokens, clamped at 1e-10, logged, then averaged over query tokens.
 
 from __future__ import annotations
 
-import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _number_array, _read_json, labeled_candidates, rank_order
+from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _load, _number_array, _write_json, labeled_candidates, rank_order
 from .descent import _descend, check_schedule
 from .embedding import PairEmbedding, _pair_tokens, embed_pair, provider_from_description
 
@@ -442,27 +440,24 @@ def save_selector(model: SelectorModel, provider, path) -> None:
         "attention_flag": model.attention_enabled,
         "provider": provider.describe(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(payload, path)
+
+
+def _parse_selector(payload) -> tuple[SelectorModel, object]:
+    if not isinstance(payload, dict):
+        raise ValueError("expected a JSON object")
+    if not isinstance(payload["attention_flag"], bool):
+        raise ValueError(f"'attention_flag' must be true or false, got {payload['attention_flag']!r}")
+    if not isinstance(payload["provider"], dict):
+        raise ValueError(f"'provider' must be an object, got {payload['provider']!r}")
+    bank = KernelBank(_number_array(payload, "mus"), _number_array(payload, "sigmas"))
+    model = SelectorModel(bank, _number_array(payload, "readout_weights"), payload["attention_flag"])
+    return model, provider_from_description(payload["provider"])
 
 
 def load_selector(path) -> tuple[SelectorModel, object]:
     """Read a model file written by :func:`save_selector`; returns (model, provider).
 
-    A malformed file raises ValueError with a message that starts with ``path``.
+    A malformed file raises CorpusError (a ValueError) with a message that starts with ``path``.
     """
-    payload = _read_json(path)
-    try:
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object")
-        if not isinstance(payload["attention_flag"], bool):
-            raise ValueError(f"'attention_flag' must be true or false, got {payload['attention_flag']!r}")
-        if not isinstance(payload["provider"], dict):
-            raise ValueError(f"'provider' must be an object, got {payload['provider']!r}")
-        bank = KernelBank(_number_array(payload, "mus"), _number_array(payload, "sigmas"))
-        model = SelectorModel(bank, _number_array(payload, "readout_weights"), payload["attention_flag"])
-        provider = provider_from_description(payload["provider"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return model, provider
+    return _load(path, _parse_selector)

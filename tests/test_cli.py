@@ -543,6 +543,22 @@ class TestHyperparameterChecks:
         assert capsys.readouterr().err == f"error: {vectors}:1: expected 'token v_1 ... v_d' with d >= 2\n"
         assert not model.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--embed-seed", "7"],
+        ["--embed-dim", "32"],
+        ["--embed-dim", "1", "--embed-seed", "-99999999999999999999999"],
+    ])
+    def test_embedding_flags_with_vectors_rejected_before_reading_input(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "FileVectors", lambda path: pytest.fail("vectors file read"))
+        model = tmp_path / "model.json"
+        rc = main(["train", "select", "--vectors", str(tmp_path / "vectors.txt"), *flags,
+                   *missing_corpus_flags(tmp_path), "--model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "error: --embed-seed and --embed-dim apply to hashed embeddings, not to --vectors\n"
+        )
+        assert not model.exists()
+
     def test_process_exits_with_status_1(self, tmp_path):
         model = tmp_path / "model.json"
         proc = run_cli_process(["train", "detect", "--epochs", "-5",

@@ -1,0 +1,185 @@
+"""Mutated JSON inputs: each loads or is rejected with its path, and the CLI lets no error escape.
+
+Each of the five JSON inputs (knowledge, logs, labels, selector, detector)
+is mutated from a valid file by byte flips, or by a generated JSON value put
+in place of one of its leaves or subtrees. Three properties hold:
+
+* its loader returns, or raises CorpusError whose message starts with
+  ``f"{path}: "``;
+* ``cli.main`` run in process on it returns 0 or 1, and nothing escapes;
+* on 1, stderr is exactly one ``error:`` line.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import re
+import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgdial.cli import main
+from kgdial.corpus import CorpusError, load_corpus, load_knowledge
+from kgdial.detection import load_detector
+from kgdial.selector import load_selector
+
+from helpers import truncated, with_literal
+
+INPUTS = ("knowledge", "logs", "labels", "selector", "detector")
+
+# One loader per input. Logs load without labels, so a logs error cannot be
+# reported as a count mismatch of the (valid) labels file.
+LOADERS = {
+    "knowledge": lambda files: load_knowledge(files["knowledge"]),
+    "logs": lambda files: load_corpus(files["knowledge"], files["logs"]),
+    "labels": lambda files: load_corpus(files["knowledge"], files["logs"], files["labels"]),
+    "selector": lambda files: load_selector(files["selector"]),
+    "detector": lambda files: load_detector(files["detector"]),
+}
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """Paths of a small valid corpus and of models trained on it, each with its bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = root / "corpus"
+    assert main(["synth", "--out", str(corpus), "--seed", "3", "--dialogs", "6",
+                 "--candidates", "3", "--vocab-size", "16"]) == 0
+    files = {name: corpus / f"{name}.json" for name in ("knowledge", "logs", "labels")}
+    files["selector"], files["detector"] = root / "selector.json", root / "detector.json"
+    flags = ["--knowledge", str(files["knowledge"]), "--logs", str(files["logs"]), "--labels", str(files["labels"])]
+    with redirect_stdout(io.StringIO()):
+        assert main(["train", "select", *flags, "--model", str(files["selector"]), "--epochs", "5",
+                     "--kernels", "3"]) == 0
+        assert main(["train", "detect", *flags, "--model", str(files["detector"]), "--epochs", "5",
+                     "--hash-dim", "16", "--turn-buckets", "2"]) == 0
+    return {kind: (path, path.read_bytes()) for kind, path in files.items()}
+
+
+def run_main(argv) -> tuple[int, str]:
+    """``main(argv)`` in process: its return value and stderr. The tie report of eval is a warning, not an error."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def check_input(valid, kind: str, content: bytes) -> str | None:
+    """Write ``content`` as the ``kind`` input, check all three properties, and return the CLI's error line."""
+    path = valid[kind][0].with_name(f"mutated_{kind}.json")
+    path.write_bytes(content)
+    files = {**{name: str(p) for name, (p, _) in valid.items()}, kind: str(path)}
+    try:
+        LOADERS[kind](files)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path}: "), str(exc)
+
+    corpus_flags = ["--knowledge", files["knowledge"], "--logs", files["logs"], "--labels", files["labels"]]
+    models = ["--model", files["selector"], "--detector", files["detector"]]
+    error = None
+    for argv in (["eval", *corpus_flags, *models, "--tfidf"],
+                 ["pipeline", *corpus_flags, *models, "--dialog", "d0001", "--entity", "synth/e0001"]):
+        code, err = run_main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+            error = err
+    return error
+
+
+def json_nodes(value, at=()):
+    """The path of every leaf and subtree of a JSON value, the value itself first."""
+    yield at
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from json_nodes(child, (*at, key))
+
+
+def replaced(value, at, new):
+    """A copy of ``value`` with the node at path ``at`` replaced by ``new``."""
+    if not at:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[at[0]] = replaced(value[at[0]], at[1:], new)
+    return copy
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def byte_flips(draw, content: bytes) -> bytes:
+    """``content`` with one to three bits flipped: one in eight lands on a high bit, so most results stay ASCII."""
+    flipped = bytearray(content)
+    for _ in range(draw(st.integers(1, 3))):
+        flipped[draw(st.integers(0, len(flipped) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(flipped)
+
+
+@st.composite
+def replaced_nodes(draw, content: bytes) -> bytes:
+    value = json.loads(content)
+    at = draw(st.sampled_from(list(json_nodes(value))))
+    return json.dumps(replaced(value, at, draw(json_values))).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", INPUTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_input_loads_or_names_its_path(valid, kind, data):
+    content = valid[kind][1]
+    check_input(valid, kind, data.draw(byte_flips(content) | replaced_nodes(content)))
+
+
+def big_integer(content: bytes) -> bytes:
+    """``content`` with a key holding an integer literal one digit past the interpreter's limit put in its first object."""
+    digits = b"7" * (sys.get_int_max_str_digits() + 1)
+    return content.replace(b"{", b'{"big": ' + digits + b", ", 1)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python converts integer strings of any length")
+@pytest.mark.parametrize("kind", INPUTS)
+def test_integer_past_the_digit_limit_names_its_path(valid, kind):
+    path = valid[kind][0].with_name(f"mutated_{kind}.json")
+    error = check_input(valid, kind, big_integer(valid[kind][1]))
+    assert error.startswith(f"error: {path}: Exceeds the limit ")
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    pytest.param("logs", lambda content: b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to parse",
+                 id="deep-nesting"),
+    pytest.param("labels", lambda content: b"\xff" + content, "not UTF-8: invalid start byte at byte 0",
+                 id="labels-not-utf8"),
+    pytest.param("selector", lambda content: b"\xff" + content, "not UTF-8: invalid start byte at byte 0",
+                 id="selector-not-utf8"),
+    pytest.param("selector", lambda content: with_literal("sigmas", 0, "1e400")(content.decode()).encode(),
+                 "sigmas must be positive and finite", id="infinite-kernel-width"),
+])
+def test_earlier_probes_stay_mended(valid, kind, edit, message):
+    path = valid[kind][0].with_name(f"mutated_{kind}.json")
+    assert check_input(valid, kind, edit(valid[kind][1])) == f"error: {path}: {message}\n"
+
+
+def test_logs_error_is_reported_before_labels_error(valid, tmp_path):
+    """A well-formed logs file with a bad turn and a labels file that does not parse: the logs are reported."""
+    dialogs = json.loads(valid["logs"][1])
+    dialogs[0][0]["speaker"] = "X"
+    logs, labels = tmp_path / "logs.json", tmp_path / "labels.json"
+    logs.write_text(json.dumps(dialogs))
+    labels.write_text(truncated(valid["labels"][1].decode()))
+    message = f"{logs}: dialog d0000 turn 0: speaker must be 'U' or 'S', got 'X'"
+    with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+        load_corpus(valid["knowledge"][0], logs, labels)
+    assert run_main(["eval", "--knowledge", str(valid["knowledge"][0]), "--logs", str(logs),
+                     "--labels", str(labels), "--tfidf"]) == (1, f"error: {message}\n")

@@ -780,6 +780,20 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded.readout_weights, model.readout_weights)
         np.testing.assert_array_equal(loaded_provider.embed("dog"), [0.0, 1.0])
 
+    @pytest.mark.parametrize("name, stored", [
+        pytest.param("vëctörs 東京.txt", "vëctörs 東京.txt", id="utf8"),
+        pytest.param("v\udcff.txt", "v\\udcff.txt", id="byte-not-utf8"),
+    ])
+    def test_non_ascii_vectors_path_round_trips(self, bank11, tmp_path, name, stored):
+        """A non-ASCII path is stored as UTF-8; a path byte that is not UTF-8, as the escape of its surrogate."""
+        vectors = tmp_path / name
+        vectors.write_text("cat 1 0\ndog 0 1\n")
+        path = tmp_path / "selector.json"
+        save_selector(SelectorModel(bank11, np.zeros(11)), FileVectors(vectors), path)
+        assert f'"path": "{tmp_path}/{stored}"'.encode("utf-8") in path.read_bytes()
+        _, loaded_provider = load_selector(path)
+        assert loaded_provider.describe() == {"kind": "file-vectors", "path": str(vectors), "dim": 2}
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "selector.json"
         path.write_text(json.dumps({"mus": [0.0, 1.0]}))
