@@ -4,15 +4,19 @@ import math
 
 # Step halvings tried per epoch before the line search keeps the weights.
 MAX_HALVINGS = 60
+# Largest descent schedule: the loss trajectory holds epochs + 1 floats.
+MAX_EPOCHS = 1_000_000
 
 
 def check_schedule(lr: float, epochs: int) -> None:
-    """Reject a descent schedule: ``epochs`` below 0, or ``lr`` negative or not finite.
+    """Reject a descent schedule: ``epochs`` outside [0, ``MAX_EPOCHS``], or ``lr`` negative or not finite.
 
     ``lr`` = 0 is allowed: the weights then stay at their initialization.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if epochs > MAX_EPOCHS:
+        raise ValueError(f"epochs must be <= {MAX_EPOCHS}, got {epochs}")
     if not (math.isfinite(lr) and lr >= 0):
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
 
@@ -25,10 +29,17 @@ def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
     until the loss does not increase; if no try qualifies the weights stay
     put. Returns the final weights and the loss trajectory (epochs + 1
     entries, the first at ``w0``).
+
+    An epoch that leaves the weights bit-for-bit unchanged (a step that
+    rounds away, or a line search that rejects every try) ends the loop:
+    each epoch's step is a function of the weights alone, so every later
+    epoch would repeat it. The trajectory is padded with the current loss,
+    and both results are those of running all ``epochs``.
     """
     weights = w0
     losses = [loss(weights)]
     for _ in range(epochs):
+        previous = weights
         direction = gradient(weights)
         step, current = lr, losses[-1]
         for _ in range(MAX_HALVINGS if line_search else 1):
@@ -39,4 +50,7 @@ def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
                 break
             step /= 2
         losses.append(current)
+        if weights.tobytes() == previous.tobytes():
+            losses.extend([current] * (epochs + 1 - len(losses)))
+            break
     return weights, losses

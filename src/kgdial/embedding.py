@@ -224,7 +224,9 @@ def provider_from_description(description: dict):
     A hashed-Gaussian ``seed``, either kind's ``dim`` and a file-vectors
     ``path`` are required. ``seed`` and ``dim`` must be JSON integers and
     ``path`` a JSON string: any other value raises ValueError rather than
-    being coerced, and a missing one raises KeyError.
+    being coerced, and a missing one raises KeyError. ``path`` is opened as
+    written, relative to the current directory; a file that cannot be read
+    raises ValueError naming it.
     """
     kind = description.get("kind")
     if kind == HashedGaussianVectors.kind:
@@ -237,7 +239,10 @@ def provider_from_description(description: dict):
             raise ValueError(f"provider 'path' must be a string, got {description['path']!r}")
         if type(description["dim"]) is not int:
             raise ValueError(f"provider 'dim' must be an integer, got {description['dim']!r}")
-        provider = FileVectors(description["path"])
+        try:
+            provider = FileVectors(description["path"])
+        except OSError as exc:
+            raise ValueError(f"{description['path']}: {exc.strerror}") from None
         if provider.dim != description["dim"]:
             raise ValueError(
                 f"{description['path']}: dimension {provider.dim} "

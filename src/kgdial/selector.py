@@ -385,6 +385,9 @@ def train_selector(
     (epochs + 1 entries, the first at initialization). With ``line_search``
     the step is halved until the mean loss does not increase, so the
     trajectory is non-increasing; without it the fixed ``lr`` is applied.
+    An epoch that leaves the weights unchanged ends the descent, and the
+    trajectory is padded with its loss: on the synthetic corpora the
+    default fit stops at its second epoch, whose step rounds away.
     Deterministic for fixed inputs and hyperparameters.
     """
     bank = default_kernel_bank(hyper.n_kernels)

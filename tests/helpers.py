@@ -169,6 +169,29 @@ def full_width_detector_descent(dialog_columns, labels, dim: int, lr: float, epo
     return weights, losses, rejected
 
 
+def naive_descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
+    """The shared descent loop as it was before it stopped at a fixed point, kept as a reference.
+
+    Runs every one of ``epochs`` steps. Line search halves the step up to 60
+    times and keeps the weights if no try lowers or keeps the loss. Returns the
+    weights and the loss trajectory (epochs + 1 entries).
+    """
+    weights = w0
+    losses = [loss(weights)]
+    for _ in range(epochs):
+        direction = gradient(weights)
+        step, current = lr, losses[-1]
+        for _ in range(60 if line_search else 1):
+            trial = weights - step * direction
+            trial_loss = loss(trial)
+            if trial_loss <= current or not line_search:
+                weights, current = trial, trial_loss
+                break
+            step /= 2
+        losses.append(current)
+    return weights, losses
+
+
 def oracle_golden_position(scores, golden_index: int) -> tuple[int, int]:
     """1-based rank of the golden candidate under (score desc, index asc), plus its tie count."""
     golden_score = scores[golden_index]

@@ -14,6 +14,7 @@ from kgdial import cli, detection, selector
 from kgdial.cli import build_parser, main
 from kgdial.corpus import SynthParams, load_corpus, write_corpus
 from kgdial.detection import DetectorHyper, load_detector
+from kgdial.embedding import FileVectors
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.pipeline import result_to_payload, run_pipeline
 from kgdial.selector import (
@@ -436,6 +437,17 @@ class TestErrorHandling:
         assert main(argv) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_missing_vectors_file_names_the_selector_and_the_vectors(self, workdir, tmp_path, capsys):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("w01 1 0\nw02 0 1\n")
+        path = tmp_path / "selector.json"
+        save_selector(SelectorModel(default_kernel_bank(11), np.zeros(11)), FileVectors(vectors), path)
+        vectors.unlink()
+        capsys.readouterr()
+        assert main(["rank", "--knowledge", workdir["knowledge"], "--model", str(path),
+                     "--question", "w01 w02?", "--entity", "synth/e0000"]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {vectors}: No such file or directory\n")
+
     def test_infinite_kernel_width_is_rejected_at_load(self, workdir, tmp_path, capsys):
         path = tmp_path / "selector.json"
         path.write_text(with_literal("sigmas", 0, "1e400")(Path(workdir["selector"]).read_text()))
@@ -513,6 +525,8 @@ class TestHyperparameterChecks:
         (["train", "select", "--embed-dim", "4097"], "dim must be <= 4096, got 4097"),
         (["train", "detect", "--turn-buckets", "1025"], "turn_buckets must be <= 1024, got 1025"),
         (["train", "select", "--kernels", "65"], "n_kernels must be <= 64, got 65"),
+        (["train", "detect", "--epochs", str(10**12)], "epochs must be <= 1000000, got 1000000000000"),
+        (["train", "select", "--epochs", str(10**12)], "epochs must be <= 1000000, got 1000000000000"),
     ])
     def test_size_past_its_cap_is_rejected_without_allocating(self, tmp_path, capsys, monkeypatch, argv, message):
         for consumer in ("synth_corpus", "load_corpus", "write_corpus"):

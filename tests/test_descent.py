@@ -1,0 +1,107 @@
+"""The shared descent loop against the loop that runs every epoch.
+
+``_descend`` stops at the first epoch that leaves the weights unchanged; its
+weights and loss trajectory must be bit-equal to those of running all epochs.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kgdial import detection, selector
+from kgdial.corpus import SynthParams, synth_corpus
+from kgdial.descent import _descend
+from kgdial.detection import train_detector
+from kgdial.selector import SelectorHyper, train_selector
+
+from helpers import naive_descend
+
+
+def logistic_problem(seed: int, n: int, k: int):
+    """Mean binary log loss and its gradient on random features and labels."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, k)) * rng.choice([0.1, 1.0, 10.0])
+    labels = rng.integers(0, 2, n).astype(float)
+    signs = 1.0 - 2.0 * labels
+
+    def loss(weights):
+        return float(np.logaddexp(0.0, signs * (features @ weights)).mean())
+
+    def gradient(weights):
+        z = features @ weights
+        residual = np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z))) - labels
+        return features.T @ residual / n
+
+    return loss, gradient
+
+
+class TestDescend:
+    @settings(deadline=None, max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        lr=st.sampled_from([0.0, 0.5, 1e6]),
+        epochs=st.integers(0, 60),
+        line_search=st.booleans(),
+    )
+    def test_matches_the_loop_that_runs_every_epoch(self, seed, n, k, lr, epochs, line_search):
+        loss, gradient = logistic_problem(seed, n, k)
+        weights, losses = _descend(loss, gradient, np.zeros(k), lr, epochs, line_search)
+        expected_weights, expected_losses = naive_descend(loss, gradient, np.zeros(k), lr, epochs, line_search)
+        assert len(losses) == epochs + 1
+        assert weights.tobytes() == expected_weights.tobytes()
+        assert np.array(losses).tobytes() == np.array(expected_losses).tobytes()
+
+    def test_a_step_that_rounds_away_ends_the_loop(self):
+        loss, gradient = logistic_problem(1, 8, 3)
+        calls = []
+        weights, losses = _descend(loss, lambda w: calls.append(w) or gradient(w), np.zeros(3), 0.0, 50, False)
+        assert len(calls) == 1
+        assert losses == [loss(np.zeros(3))] * 51
+        assert weights.tobytes() == np.zeros(3).tobytes()
+
+    def test_a_line_search_that_rejects_every_try_ends_the_loop(self):
+        w0 = np.array([1.0, -2.0])
+        calls = []
+
+        def uphill(weights):
+            calls.append(weights)
+            return -2.0 * weights
+
+        # Even the 60th halving of 2**70 moves the weights, so every try is scored and rejected.
+        weights, losses = _descend(lambda w: float(w @ w), uphill, w0, 2.0**70, 30, True)
+        assert len(calls) == 1
+        assert weights is w0
+        assert losses == [5.0] * 31
+
+
+class TestTrainersStopAtTheFixedPoint:
+    """The default selector fit stops early; every trainer still returns what running all epochs returns."""
+
+    @pytest.fixture(scope="class")
+    def c6_corpus(self):
+        return synth_corpus(42, SynthParams(n_dialogs=200, n_candidates=8))
+
+    def test_default_selector_computes_at_most_two_gradients(self, c6_corpus, provider7, monkeypatch):
+        calls = []
+        gradient = selector.loss_gradient
+        monkeypatch.setattr(selector, "loss_gradient", lambda *args: calls.append(args) or gradient(*args))
+        _, losses = train_selector(c6_corpus, provider7)
+        assert len(calls) <= 2
+        assert len(losses) == SelectorHyper().epochs + 1
+
+    @pytest.mark.parametrize("module, train", [
+        pytest.param(selector, lambda corpus, provider: train_selector(corpus, provider), id="selector-default"),
+        pytest.param(selector, lambda corpus, provider: train_selector(
+            corpus, provider, SelectorHyper(attention_flag=True, line_search=True)), id="selector-attention-ls"),
+        pytest.param(detection, lambda corpus, provider: train_detector(corpus), id="detector-default"),
+    ])
+    def test_trainer_matches_the_loop_that_runs_every_epoch(self, c6_corpus, provider7, monkeypatch, module, train):
+        model, losses = train(c6_corpus, provider7)
+        monkeypatch.setattr(module, "_descend", naive_descend)
+        expected_model, expected_losses = train(c6_corpus, provider7)
+        weights = "readout_weights" if module is selector else "weights"
+        assert getattr(model, weights).tobytes() == getattr(expected_model, weights).tobytes()
+        assert np.array(losses).tobytes() == np.array(expected_losses).tobytes()

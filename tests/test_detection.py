@@ -203,6 +203,7 @@ BAD_DETECTOR_HYPERS = [
     ({"lr": math.nan}, "lr must be finite and >= 0"),
     ({"lr": math.inf}, "lr must be finite and >= 0"),
     ({"turn_buckets": detection.MAX_TURN_BUCKETS + 1}, f"turn_buckets must be <= {detection.MAX_TURN_BUCKETS}"),
+    ({"epochs": 10**12}, "epochs must be <= 1000000"),
 ]
 
 

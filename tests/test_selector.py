@@ -430,6 +430,7 @@ class TestSelectorHyper:
         ({"lr": -0.5}, "lr must be finite and >= 0"),
         ({"lr": math.nan}, "lr must be finite and >= 0"),
         ({"lr": -math.inf}, "lr must be finite and >= 0"),
+        ({"epochs": 10**12}, "epochs must be <= 1000000"),
     ])
     def test_bad_schedule_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
