@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Corpus, DialogInstance, Speaker, _load, _number_array, _write_json
-from .descent import _descend, check_schedule
+from .descent import _descend, _scored_once, check_schedule
 from .embedding import tokenize, tokenize_batch
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
@@ -230,15 +230,11 @@ def train_detector(
     active, local = np.unique(columns, return_inverse=True)
     rows = np.repeat(np.arange(n), lengths)
     signs = 1.0 - 2.0 * labels
-    scored = [None, None]  # the weight vector last scored (the object itself) and its scores
-
-    def scores(weights):
-        if scored[0] is not weights:
-            scored[:] = weights, np.bincount(rows, weights=weights[local], minlength=n)
-        return scored[1]
+    scores = _scored_once(lambda weights: np.bincount(rows, weights=weights[local], minlength=n))
 
     def loss(weights):
-        return float(np.logaddexp(0.0, signs * scores(weights)).mean())
+        # mean()'s sum and division, without its Python-level wrapper: a numpy call costs more inside _descend's errstate.
+        return float(np.add.reduce(np.logaddexp(0.0, signs * scores(weights))) / n)
 
     def gradient(weights):
         residual = _sigmoid_vector(scores(weights)) - labels

@@ -21,7 +21,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _load, _number_array, _write_json, labeled_candidates, rank_order
-from .descent import _descend, check_schedule
+from .descent import _descend, _scored_once, check_schedule
 from .embedding import PairEmbedding, _pair_tokens, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
@@ -198,7 +198,7 @@ class SelectorModel:
             raise ValueError(
                 f"readout_weights must have length {self.kernels.size}, got shape {weights.shape}"
             )
-        if not np.all(np.isfinite(weights)):
+        if not np.isfinite(weights).all():
             raise ValueError("readout_weights must be finite")
 
 
@@ -278,11 +278,23 @@ def _shifted_scores(features: np.ndarray, mask: np.ndarray, weights) -> tuple[np
 
 def _mean_loss(features: np.ndarray, mask: np.ndarray, golden: np.ndarray, weights) -> float:
     """Mean cross-entropy log Z - s_golden over a padded batch."""
-    shifted, log_z = _shifted_scores(features, mask, weights)
-    return float((log_z[:, 0] - shifted[np.arange(golden.size), golden]).mean())
+    return _cross_entropy(*_shifted_scores(features, mask, weights), golden)
 
 
-def loss_gradient(features: np.ndarray, model: SelectorModel, golden_index, mask=None) -> np.ndarray:
+def _cross_entropy(shifted: np.ndarray, log_z: np.ndarray, golden: np.ndarray) -> float:
+    """Mean of log Z - s_golden given :func:`_shifted_scores`' results.
+
+    Written as log Z minus the shifted golden score, not as -log P: the
+    default fit's exact 0.0 loss would otherwise read -0.0. The sum over
+    ``np.add.reduce`` divided by n is ``mean``'s arithmetic without its
+    Python-level wrapper.
+    """
+    return float(np.add.reduce(log_z[:, 0] - shifted[np.arange(golden.size), golden]) / golden.size)
+
+
+def loss_gradient(
+    features: np.ndarray, model: SelectorModel, golden_index, mask=None, log_probabilities=None
+) -> np.ndarray:
     """Gradient of the mean cross-entropy loss with respect to the readout weights.
 
     Takes one instance (l x K node features and an int ``golden_index``) or
@@ -292,14 +304,25 @@ def loss_gradient(features: np.ndarray, model: SelectorModel, golden_index, mask
     when the model's flag is set. The attention has no parameters, so a
     batch carries features that were attended when it was built (see
     ``train_selector``) and the flag is read for a single instance only.
+
+    ``log_probabilities``, when given, are log P at the model's weights as
+    ``shifted - log_z`` of :func:`_shifted_scores` (n x L for a batch, length
+    l for one instance); they replace the forward pass, with the same result
+    bit for bit.
     """
     if mask is None:
         if not 0 <= golden_index < len(features):
             raise IndexError(f"golden_index {golden_index} out of range for {len(features)} candidates")
         features, mask = _batch([features], model.attention_enabled)
         golden_index = np.array([golden_index])
-    shifted, log_z = _shifted_scores(features, mask, model.readout_weights)
-    residual = np.exp(shifted - log_z)
+        if log_probabilities is not None:
+            log_probabilities = log_probabilities[None]
+    if log_probabilities is None:
+        shifted, log_z = _shifted_scores(features, mask, model.readout_weights)
+        log_probabilities = shifted - log_z
+    elif log_probabilities.shape != mask.shape:
+        raise ValueError(f"log_probabilities must have shape {mask.shape}, got {log_probabilities.shape}")
+    residual = np.exp(log_probabilities)
     residual[np.arange(golden_index.size), golden_index] -= 1.0
     return np.einsum("nl,nlk->k", residual, features) / golden_index.size
 
@@ -397,15 +420,25 @@ def train_selector(
 def _fit(
     instances: list[SelectionInstance], bank: KernelBank, hyper: SelectorHyper
 ) -> tuple[SelectorModel, list[float]]:
-    """The descent of :func:`train_selector` on instances featurized with ``bank``."""
+    """The descent of :func:`train_selector` on instances featurized with ``bank``.
+
+    Each weight vector is scored once: a kept trial's forward pass, taken for
+    its loss, also serves the next epoch's gradient.
+    """
     if not instances:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to train on")
 
     features, mask = _batch([i.features for i in instances], hyper.attention_flag)
     golden = np.array([i.golden_index for i in instances])
+
+    forward = _scored_once(lambda w: _shifted_scores(features, mask, w))
+
+    def gradient(w):
+        shifted, log_z = forward(w)
+        return loss_gradient(features, SelectorModel(bank, w), golden, mask, shifted - log_z)
+
     weights, losses = _descend(
-        lambda w: _mean_loss(features, mask, golden, w),
-        lambda w: loss_gradient(features, SelectorModel(bank, w), golden, mask),
+        lambda w: _cross_entropy(*forward(w), golden), gradient,
         np.zeros(bank.size), hyper.lr, hyper.epochs, hyper.line_search,
     )
     return SelectorModel(bank, weights, hyper.attention_flag), losses

@@ -123,6 +123,24 @@ class TestTrain:
         assert "mean probability 0.5000" in out
         assert np.all(load_detector(model_path).weights == 0.0)
 
+    @pytest.mark.parametrize("kind, loss", [("select", "nan"), ("detect", "inf")])
+    def test_diverging_fixed_step_ends_with_one_error_line(self, workdir, tmp_path, capsys, kind, loss):
+        capsys.readouterr()
+        model = tmp_path / "model.json"
+        assert main(["train", kind, *workdir["corpus_flags"], "--model", str(model), "--lr", "1e308"]) == 1
+        assert capsys.readouterr() == ("", (
+            f"error: training diverged at epoch 1: the loss is {loss}; "
+            "lower the learning rate (--lr) or turn on line search (--line-search)\n"
+        ))
+        assert not model.exists()
+
+    def test_diverging_fixed_step_prints_no_numpy_warning(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "1", "--dialogs", "20", "--candidates", "4"]) == 0
+        files = [f"--{name}={tmp_path / name}.json" for name in ("knowledge", "logs", "labels")]
+        proc = run_cli_process(["train", "select", *files, "--model", str(tmp_path / "s.json"), "--lr", "1e308"])
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: training diverged at epoch 1: ")
+
     def test_detect_featurizes_each_dialog_once_to_train_and_once_to_score(
         self, workdir, monkeypatch, tmp_path, capsys
     ):

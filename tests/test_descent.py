@@ -2,7 +2,10 @@
 
 ``_descend`` stops at the first epoch that leaves the weights unchanged; its
 weights and loss trajectory must be bit-equal to those of running all epochs.
+A fixed step whose loss is not finite ends it with one ValueError.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +79,26 @@ class TestDescend:
         assert weights is w0
         assert losses == [5.0] * 31
 
+    def test_a_fixed_step_that_overflows_raises_naming_the_epoch(self):
+        loss, gradient = logistic_problem(1, 8, 3)
+        with pytest.raises(ValueError, match=r"^training diverged at epoch 1: the loss is (nan|inf); lower "):
+            _descend(loss, gradient, np.zeros(3), 1e308, 5, False)
+
+    def test_a_fixed_step_that_diverges_later_raises_at_the_epoch_it_overflows(self):
+        # Each step doubles |w| and flips its sign, so the loss 4**epoch overflows at epoch 512.
+        quadratic = (lambda w: float(w @ w), lambda w: 2.0 * w)
+        with pytest.raises(ValueError, match=r"^training diverged at epoch 512: the loss is inf; "):
+            _descend(*quadratic, np.ones(1), 1.5, 600, False)
+        _, losses = _descend(*quadratic, np.ones(1), 1.5, 600, True)
+        assert losses[1] == 0.25 and all(b <= a for a, b in zip(losses, losses[1:]))
+
+    def test_a_line_search_rejects_trials_whose_loss_is_not_finite(self):
+        loss, gradient = logistic_problem(1, 8, 3)
+        weights, losses = _descend(loss, gradient, np.zeros(3), 1e308, 5, True)
+        assert np.isfinite(weights).all()
+        assert all(math.isfinite(value) for value in losses)
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+
 
 class TestTrainersStopAtTheFixedPoint:
     """The default selector fit stops early; every trainer still returns what running all epochs returns."""
@@ -91,6 +114,18 @@ class TestTrainersStopAtTheFixedPoint:
         _, losses = train_selector(c6_corpus, provider7)
         assert len(calls) <= 2
         assert len(losses) == SelectorHyper().epochs + 1
+
+    def test_attention_line_search_fit_scores_each_weight_vector_once(self, c6_corpus, provider7, monkeypatch):
+        """The forward pass runs once per loss evaluation; the gradient reuses the kept trial's."""
+        forward_passes, loss_evaluations, gradients = [], [], []
+        shifted_scores, descend, gradient = selector._shifted_scores, selector._descend, selector.loss_gradient
+        monkeypatch.setattr(selector, "_shifted_scores", lambda *args: forward_passes.append(1) or shifted_scores(*args))
+        monkeypatch.setattr(selector, "loss_gradient", lambda *args: gradients.append(1) or gradient(*args))
+        monkeypatch.setattr(selector, "_descend", lambda loss, *rest: descend(
+            lambda w: loss_evaluations.append(1) or loss(w), *rest))
+        train_selector(c6_corpus, provider7, SelectorHyper(attention_flag=True, line_search=True))
+        assert len(gradients) == SelectorHyper().epochs
+        assert len(forward_passes) == len(loss_evaluations) > len(gradients)
 
     @pytest.mark.parametrize("module, train", [
         pytest.param(selector, lambda corpus, provider: train_selector(corpus, provider), id="selector-default"),

@@ -8,6 +8,11 @@ in place of one of its leaves or subtrees. Three properties hold:
   ``f"{path}: "``;
 * ``cli.main`` run in process on it returns 0 or 1, and nothing escapes;
 * on 1, stderr is exactly one ``error:`` line.
+
+The token-vectors file that a ``--vectors`` selector names is mutated the
+same way, by byte flips and by edited, repeated or dropped lines: the
+selector either loads, or ``eval`` and ``rank`` each exit 1 with the one
+line ``error: <selector>: <vectors>...``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 from kgdial.cli import main
 from kgdial.corpus import CorpusError, load_corpus, load_knowledge
 from kgdial.detection import load_detector
-from kgdial.selector import load_selector
+from kgdial.selector import load_selector, save_selector
 
 from helpers import truncated, with_literal
 
@@ -183,3 +188,90 @@ def test_logs_error_is_reported_before_labels_error(valid, tmp_path):
         load_corpus(valid["knowledge"][0], logs, labels)
     assert run_main(["eval", "--knowledge", str(valid["knowledge"][0]), "--logs", str(logs),
                      "--labels", str(labels), "--tfidf"]) == (1, f"error: {message}\n")
+
+
+# Entries of a generated vectors line: numbers, non-finite and overflowing
+# literals, and text that does not parse as a number.
+VECTOR_ENTRIES = ("0", "1", "-2.5", "1e-320", "1e308", "-1e308", "1e999", "nan", "inf", "-inf", "x", "1_0", "0x1")
+
+
+@pytest.fixture(scope="module")
+def vectors_selector(valid, tmp_path_factory):
+    """A selector trained on ``--vectors`` for the even synth tokens, with its vectors file's bytes."""
+    root = tmp_path_factory.mktemp("vectors")
+    vectors = root / "vectors.txt"
+    vectors.write_text("".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n" for j in range(0, 16, 2)))
+    corpus_flags = [f"--{name}={valid[name][0]}" for name in ("knowledge", "logs", "labels")]
+    with redirect_stdout(io.StringIO()):
+        assert main(["train", "select", *corpus_flags, "--model", str(root / "selector.json"), "--epochs", "5",
+                     "--kernels", "3", "--vectors", str(vectors)]) == 0
+    return root, corpus_flags, vectors.read_bytes()
+
+
+def check_vectors(valid, vectors_selector, content: bytes) -> str | None:
+    """Write ``content`` as the vectors file of a copy of the selector; it loads, or both commands name both files."""
+    root, corpus_flags, _ = vectors_selector
+    vectors, selector = root / "mutated_vectors.txt", root / "mutated_selector.json"
+    vectors.write_bytes(content)
+    payload = json.loads((root / "selector.json").read_bytes())
+    payload["provider"]["path"] = str(vectors)
+    selector.write_text(json.dumps(payload))
+    try:
+        load_selector(selector)
+        error = None
+    except CorpusError as exc:
+        error = f"error: {exc}\n"
+        assert error.startswith(f"error: {selector}: {vectors}") and error.count("\n") == 1, error
+    for argv in (["eval", *corpus_flags, "--model", str(selector)],
+                 ["rank", f"--knowledge={valid['knowledge'][0]}", "--model", str(selector),
+                  "--question", "w01 w02 w04?", "--entity", "synth/e0000"]):
+        assert run_main(argv) == ((0, "") if error is None else (1, error)), argv
+    return error
+
+
+@st.composite
+def edited_lines(draw, content: bytes) -> bytes:
+    """``content`` with a line replaced by a generated one, repeated, dropped or cut short, or lines added."""
+    lines = content.decode().splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    edit = draw(st.sampled_from(["replace", "repeat", "drop", "cut", "append"]))
+    if edit in ("replace", "append"):
+        token = draw(st.sampled_from(["w00", "w02", "w15", "new", ""]))
+        entries = draw(st.lists(st.sampled_from(VECTOR_ENTRIES), max_size=6))
+        line = " ".join([token, *entries]) + "\n"
+        lines[at : at + (edit == "replace")] = [line] * draw(st.integers(1, 3))
+    elif edit == "repeat":
+        lines.insert(at, lines[at])
+    elif edit == "drop":
+        del lines[at]
+    else:
+        lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+    return "".join(lines).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_vectors_file_loads_or_names_the_selector_and_itself(valid, vectors_selector, data):
+    content = vectors_selector[2]
+    check_vectors(valid, vectors_selector, data.draw(byte_flips(content) | edited_lines(content)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda content: b"", ": no vectors found", id="empty"),
+    pytest.param(lambda content: b"\n \n", ": no vectors found", id="blank-lines"),
+    pytest.param(lambda content: content + b"caf\xe9 1 2 3\n", ":9: not UTF-8", id="not-utf8"),
+    pytest.param(lambda content: content.replace(b"\n", b" 4\n", 1), ":2: dimension 3 differs from 4", id="long-line"),
+    pytest.param(lambda content: content.replace(b"\n", b"\nw01 1\n", 1), ":2: expected 'token v_1 ... v_d' with d >= 2",
+                 id="short-line"),
+    pytest.param(lambda content: b"".join(line.rsplit(b" ", 1)[0] + b"\n" for line in content.splitlines()),
+                 ": dimension 2 does not match recorded 3", id="other-dimension"),
+    pytest.param(lambda content: content + content[:12], ":9: duplicate token 'w00'", id="repeated-token"),
+    pytest.param(lambda content: content + b"w01 nan 0 0\n", ":9: non-finite vector entry", id="nan"),
+    pytest.param(lambda content: content + b"w01 1e999 0 0\n", ":9: non-finite vector entry", id="overflow"),
+    pytest.param(lambda content: content + b"w01 1e308 -1e308 1e308\n", None, id="largest-finite"),
+])
+def test_vectors_file_probes(valid, vectors_selector, edit, message):
+    root = vectors_selector[0]
+    error = check_vectors(valid, vectors_selector, edit(vectors_selector[2]))
+    prefix = f"error: {root / 'mutated_selector.json'}: {root / 'mutated_vectors.txt'}"
+    assert error == (None if message is None else f"{prefix}{message}\n")

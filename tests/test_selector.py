@@ -46,6 +46,7 @@ from kgdial.selector import (
     translation_matrix,
     _batch,
     _mean_loss,
+    _shifted_scores,
 )
 
 from helpers import (
@@ -374,6 +375,38 @@ class TestLossGradient:
         model = SelectorModel(bank11, np.zeros(11))
         with pytest.raises(IndexError):
             loss_gradient(np.zeros((2, 11)), model, 5)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        widths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        attention=st.booleans(),
+        scale=st.sampled_from([0.0, 1.0, 40.0]),
+    )
+    def test_given_log_probabilities_replace_the_forward_pass_bit_for_bit(
+        self, bank11, seed, widths, attention, scale
+    ):
+        rng = np.random.default_rng(seed)
+        feature_list = [rng.standard_normal((l, 11)) * rng.choice([0.1, 1.0, 10.0]) for l in widths]
+        golden = np.array([int(rng.integers(l)) for l in widths])
+        model = SelectorModel(bank11, scale * rng.standard_normal(11), attention)
+        # A padded batch, whose features were attended when it was built.
+        features, mask = _batch(feature_list, attention)
+        shifted, log_z = _shifted_scores(features, mask, model.readout_weights)
+        expected = loss_gradient(features, model, golden, mask)
+        assert loss_gradient(features, model, golden, mask, shifted - log_z).tobytes() == expected.tobytes()
+        # One instance, attended by loss_gradient itself when the model's flag is set.
+        features, mask = _batch(feature_list[:1], attention)
+        shifted, log_z = _shifted_scores(features, mask, model.readout_weights)
+        expected = loss_gradient(feature_list[0], model, int(golden[0]))
+        given = loss_gradient(feature_list[0], model, int(golden[0]), None, (shifted - log_z)[0])
+        assert given.tobytes() == expected.tobytes()
+
+    def test_log_probabilities_of_another_shape_rejected(self, bank11):
+        model = SelectorModel(bank11, np.zeros(11))
+        features, mask = _batch([np.zeros((3, 11)), np.zeros((2, 11))], False)
+        with pytest.raises(ValueError, match=r"log_probabilities must have shape \(2, 3\), got \(3,\)"):
+            loss_gradient(features, model, np.array([0, 1]), mask, np.zeros(3))
 
 
 class TestTrainSelector:
