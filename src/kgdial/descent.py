@@ -53,7 +53,9 @@ def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
     rounds away, or a line search that rejects every try) ends the loop:
     each epoch's step is a function of the weights alone, so every later
     epoch would repeat it. The trajectory is padded with the current loss,
-    and both results are those of running all ``epochs``.
+    and both results are those of running all ``epochs``. A line search
+    that rejects every try at epoch 1 raises ValueError instead: the step
+    never got small enough, and the weights would stay at ``w0``.
 
     Numpy's overflow and invalid-value warnings are off inside the loop. A
     line search rejects a trial whose loss is not finite; a kept loss that
@@ -74,6 +76,11 @@ def _descend(loss, gradient, w0, lr: float, epochs: int, line_search: bool):
                     weights, current = trial, trial_loss
                     break
                 step /= 2
+            if weights is previous and epoch == 1:  # the line search kept no trial
+                raise ValueError(
+                    f"line search rejected all {MAX_HALVINGS} steps at epoch 1, down to lr / 2**{MAX_HALVINGS - 1}; "
+                    "lower the learning rate (--lr)"
+                )
             if not math.isfinite(current):
                 raise ValueError(
                     f"training diverged at epoch {epoch}: the loss is {current}; "

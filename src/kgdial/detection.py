@@ -29,6 +29,10 @@ from .descent import _descend, _scored_once, check_schedule
 from .embedding import tokenize, tokenize_batch
 
 SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
+# Read with an identity test, not a dict lookup: an Enum's hash, and a member
+# looked up on its class, are Python-level calls.
+_USER = Speaker.USER
+_USER_PREFIX, _SYS_PREFIX = SPEAKER_PREFIX[Speaker.USER], SPEAKER_PREFIX[Speaker.SYS]
 
 # The n-gram hash a detector was trained with; recorded in every detector file.
 NGRAM_HASH = "crc32"
@@ -41,11 +45,11 @@ def serialize_dialog(dialog: DialogInstance) -> str:
     that themselves contain those literal tags.
     """
     turns = dialog.turns
-    if not turns or turns[-1].speaker is not Speaker.USER:
+    if not turns or turns[-1].speaker is not _USER:
         raise ValueError(f"dialog {dialog.id}: last turn must be a user turn")
-    parts = [SPEAKER_PREFIX[Speaker.USER], turns[-1].text]
+    parts = [_USER_PREFIX, turns[-1].text]
     for turn in turns[:-1]:
-        parts.append(SPEAKER_PREFIX[turn.speaker])
+        parts.append(_USER_PREFIX if turn.speaker is _USER else _SYS_PREFIX)
         parts.append(turn.text)
     return "".join(parts)
 
@@ -133,11 +137,24 @@ def _sigmoid_vector(z):
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z)))
 
 
+def _sigmoid(z) -> float:
+    """:func:`_sigmoid_vector` of one float, bit for bit, with one ``exp`` and no array ufuncs.
+
+    For z >= 0 the vector form's numerator is exp(0) = 1; for z < 0 its two
+    exps are the same exp(z).
+    """
+    e = np.exp(-abs(z))
+    return float((1.0 if z >= 0 else e) / (1.0 + e))
+
+
 def detect_score(model: DetectorModel, columns: list[int]) -> float:
-    """Probability sigmoid(weights[columns].sum()); raises on a column outside the weights."""
+    """Probability sigmoid(weights[columns].sum()); raises on a column outside the weights.
+
+    The sum is ``np.add.reduce``, the pairwise reduction ``sum`` runs, without its Python-level wrapper.
+    """
     if columns and (min(columns) < 0 or max(columns) >= model.weights.size):
         raise ValueError(f"feature columns must lie in [0, {model.weights.size}), got {min(columns)}..{max(columns)}")
-    return float(_sigmoid_vector(model.weights[columns].sum()))
+    return _sigmoid(np.add.reduce(model.weights.take(columns)))
 
 
 def _featurize_batch(dialogs: list[DialogInstance], hash_dim: int, turn_buckets: int) -> tuple[np.ndarray, list[int]]:
@@ -164,13 +181,14 @@ def _featurize_batch(dialogs: list[DialogInstance], hash_dim: int, turn_buckets:
 def _detect_batch(model: DetectorModel, dialogs: list[DialogInstance]) -> np.ndarray:
     """Each dialog's :func:`detect` probability, bit for bit, from one batch featurization.
 
-    A dialog's score is the ``sum`` of its own contiguous slice of the
+    A dialog's score is ``np.add.reduce`` of its own contiguous slice of the
     gathered weights, the same reduction over the same values in the same
     order as :func:`detect_score`; one vectorized sigmoid follows.
     """
     columns, lengths = _featurize_batch(dialogs, model.hash_dim, model.turn_buckets)
     weights = model.weights.take(columns)
-    scores = np.array([weights[start : start + n].sum() for start, n in zip(accumulate(lengths, initial=0), lengths)])
+    reduce = np.add.reduce
+    scores = np.array([reduce(weights[start : start + n]) for start, n in zip(accumulate(lengths, initial=0), lengths)])
     return _sigmoid_vector(scores)
 
 

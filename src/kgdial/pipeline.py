@@ -20,7 +20,8 @@ EOS = "<EOS>"
 SP_USER = "<sp1>"
 SP_SYS = "<sp2>"
 
-_SP = {Speaker.USER: SP_USER, Speaker.SYS: SP_SYS}
+# An Enum's hash, and a member looked up on its class, are Python-level calls; an identity test is not.
+_USER = Speaker.USER
 
 
 def format_generation_input(
@@ -34,11 +35,11 @@ def format_generation_input(
     """
     if not history:
         raise ValueError("history must be non-empty")
-    if history[0].speaker is not Speaker.USER:
+    if history[0].speaker is not _USER:
         raise ValueError("first history turn must be a user turn")
     parts = [BOS, snippet.text]
     for turn in history:
-        parts.append(_SP[turn.speaker])
+        parts.append(SP_USER if turn.speaker is _USER else SP_SYS)
         parts.append(turn.text)
     parts.append(SP_SYS)
     parts.append(response if response is not None else "")

@@ -13,6 +13,7 @@ knowledge tokens, clamped at 1e-10, logged, then averaged over query tokens.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,6 +39,12 @@ SOFT_SIGMA = 0.1
 # array (about 6 times the default 11's at the cap); and 63 soft kernels of
 # width SOFT_SIGMA already sit 0.032 apart, three to a width.
 MAX_KERNELS = 64
+
+# Every node feature lies in [ln KERNEL_EPS, ln MAX_KNOWLEDGE_TOKENS] ~ [-23.03, 4.85] (a kernel
+# response is at most 1 and a snippet keeps at most MAX_KNOWLEDGE_TOKENS tokens), and attention only
+# averages features. So a score is at most -ln KERNEL_EPS * sum_k |w_k| in magnitude, and two
+# candidates' scores differ by at most SCORE_SPREAD * sum_k |w_k|.
+SCORE_SPREAD = -2.0 * math.log(KERNEL_EPS)
 
 # Embedding rows featurized together by selection_instances: bounds its memory
 # (about 1.8 MB per call on 8- and 64-candidate corpora) whatever the corpus size.
@@ -131,7 +138,8 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns
     (all columns when ``starts`` is None). The responses are built in place
     in one K x m x p array, so each candidate's sum over j runs along the
-    contiguous last axis, and the sum over i adds the rows in order, so a
+    contiguous last axis. Those sums are written into an m x K x l array,
+    whose sum over i, along the outer axis, adds the rows in order, so a
     candidate's features do not depend on the other columns of the call.
     Raises ValueError unless ``starts`` begin at 0, strictly increase and
     stay below the column count.
@@ -144,15 +152,16 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
             f"starts must begin at 0, strictly increase and stay below {matrix.shape[1]} columns, "
             f"got {[int(s) for s in starts]}"
         )
-    responses = np.subtract(matrix, bank.mus[:, None, None])
+    responses = np.subtract(matrix, bank.mus[:, None, None])  # K-major: an m x K x p broadcast is slower
     np.square(responses, out=responses)
     responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps
-    pooled = np.add.reduceat(np.exp(responses, out=responses), (0,) if starts is None else starts, axis=2)
+    segments = (0,) if starts is None else starts
+    # Summed along the outer axis, the m rows add in order; along the middle axis, a lone
+    # candidate's m x 1 column would be summed pairwise instead.
+    pooled = np.empty((matrix.shape[0], bank.size, len(segments)))
+    np.add.reduceat(np.exp(responses, out=responses), segments, axis=2, out=pooled.transpose(1, 0, 2))
     np.log(np.maximum(pooled, KERNEL_EPS, out=pooled), out=pooled)
-    # Summed along the outer axis of an m x K x l copy, the m rows add in order; along the
-    # middle axis, a lone candidate's m x 1 column would be summed pairwise instead.
-    rows = np.ascontiguousarray(pooled.transpose(1, 0, 2))
-    means = np.add.reduce(rows, axis=0) / rows.shape[0]
+    means = np.add.reduce(pooled, axis=0) / pooled.shape[0]
     features = np.ascontiguousarray(means.T)  # BLAS rounds a transposed view differently
     return features[0] if starts is None else features
 
@@ -200,6 +209,19 @@ class SelectorModel:
             )
         if not np.isfinite(weights).all():
             raise ValueError("readout_weights must be finite")
+
+
+def check_scorable(weights: np.ndarray) -> None:
+    """Reject readout weights under which two candidates' scores could differ by more than a float holds.
+
+    Such a model's softmax is nan: it cannot score its own candidates.
+    """
+    magnitudes = list(map(abs, weights.tolist()))
+    if not math.isfinite(SCORE_SPREAD * sum(magnitudes)):
+        raise ValueError(
+            f"readout_weights too large to score candidates: {SCORE_SPREAD:.2f} * sum |w| overflows "
+            f"(largest |w| {max(magnitudes):.3g}); retrain with a lower learning rate (--lr)"
+        )
 
 
 @dataclass(frozen=True)
@@ -441,6 +463,7 @@ def _fit(
         lambda w: _cross_entropy(*forward(w), golden), gradient,
         np.zeros(bank.size), hyper.lr, hyper.epochs, hyper.line_search,
     )
+    check_scorable(weights)
     return SelectorModel(bank, weights, hyper.attention_flag), losses
 
 
@@ -488,6 +511,7 @@ def _parse_selector(payload) -> tuple[SelectorModel, object]:
         raise ValueError(f"'provider' must be an object, got {payload['provider']!r}")
     bank = KernelBank(_number_array(payload, "mus"), _number_array(payload, "sigmas"))
     model = SelectorModel(bank, _number_array(payload, "readout_weights"), payload["attention_flag"])
+    check_scorable(model.readout_weights)
     return model, provider_from_description(payload["provider"])
 
 

@@ -130,6 +130,30 @@ def oracle_detector_features(serialized: str, turn_count: int, hash_dim: int, tu
     return values
 
 
+def straight_line_detect_score(weights: np.ndarray, columns) -> float:
+    """The detector's probability as it was before ``detect_score`` dropped its numpy scalar round trips.
+
+    A fancy-indexed ``sum``, then the two-exp logistic function that the batch path still runs.
+    """
+    z = weights[columns].sum()
+    return float(np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z))))
+
+
+SPEAKER_TAGS = {"U": ("[User]", "<sp1>"), "S": ("[Sys]", "<sp2>")}
+
+
+def oracle_serialize_dialog(turns) -> str:
+    """The current user turn, then every turn in order, each behind its detector tag."""
+    *history, current = turns
+    return "".join(SPEAKER_TAGS[turn.speaker.value][0] + turn.text for turn in [current, *history])
+
+
+def oracle_generation_input(snippet, history, response=None) -> str:
+    """<BOS>, the snippet's title and body, each turn behind its generation tag, then <sp2>, the response and <EOS>."""
+    tagged = "".join(SPEAKER_TAGS[turn.speaker.value][1] + turn.text for turn in history)
+    return f"<BOS>{snippet.title} {snippet.body}{tagged}<sp2>{response or ''}<EOS>"
+
+
 def full_width_detector_descent(dialog_columns, labels, dim: int, lr: float, epochs: int, line_search: bool):
     """The detector trainer as it was before it narrowed to the used columns, kept as a reference.
 

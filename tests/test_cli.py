@@ -141,6 +141,27 @@ class TestTrain:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: training diverged at epoch 1: ")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("detect", "line search rejected all 60 steps at epoch 1, down to lr / 2**59; lower the learning rate (--lr)"),
+        ("select", "readout_weights too large to score candidates: 46.05 * sum |w| overflows (largest |w| 4.92e+306); "
+                   "retrain with a lower learning rate (--lr)"),
+    ])
+    def test_line_search_that_cannot_train_ends_with_one_error_line(self, workdir, tmp_path, capsys, kind, message):
+        capsys.readouterr()
+        model = tmp_path / "model.json"
+        argv = ["train", kind, *workdir["corpus_flags"], "--model", str(model), "--line-search", "--lr", "1e308"]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("kind", ["detect", "select"])
+    def test_line_search_that_cannot_train_prints_no_numpy_warning(self, tmp_path, kind):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "1", "--dialogs", "20", "--candidates", "4"]) == 0
+        files = [f"--{name}={tmp_path / name}.json" for name in ("knowledge", "logs", "labels")]
+        proc = run_cli_process(["train", kind, *files, "--model", str(tmp_path / "m.json"), "--line-search", "--lr", "1e308"])
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
+
     def test_detect_featurizes_each_dialog_once_to_train_and_once_to_score(
         self, workdir, monkeypatch, tmp_path, capsys
     ):
@@ -394,6 +415,7 @@ class TestErrorHandling:
         pytest.param("selector", with_field("provider", {"kind": "hashed-gaussian", "seed": 7, "dim": 4097}),
                      id="selector-dim-past-cap"),
         pytest.param("selector", with_kernels(selector.MAX_KERNELS + 1), id="selector-kernels-past-cap"),
+        pytest.param("selector", with_field("readout_weights", [1e306] * 11), id="selector-unscorable"),
         pytest.param("detector", as_array, id="detector-array"),
         pytest.param("detector", with_field("turn_buckets", detection.MAX_TURN_BUCKETS + 1),
                      id="detector-turn-buckets-past-cap"),

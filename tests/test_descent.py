@@ -2,7 +2,8 @@
 
 ``_descend`` stops at the first epoch that leaves the weights unchanged; its
 weights and loss trajectory must be bit-equal to those of running all epochs.
-A fixed step whose loss is not finite ends it with one ValueError.
+A fixed step whose loss is not finite ends it with one ValueError, and so
+does a line search that keeps no trial at epoch 1.
 """
 
 import math
@@ -51,8 +52,13 @@ class TestDescend:
     )
     def test_matches_the_loop_that_runs_every_epoch(self, seed, n, k, lr, epochs, line_search):
         loss, gradient = logistic_problem(seed, n, k)
-        weights, losses = _descend(loss, gradient, np.zeros(k), lr, epochs, line_search)
-        expected_weights, expected_losses = naive_descend(loss, gradient, np.zeros(k), lr, epochs, line_search)
+        w0 = np.zeros(k)
+        expected_weights, expected_losses = naive_descend(loss, gradient, w0, lr, epochs, line_search)
+        if line_search and epochs and expected_weights is w0:  # no trial kept at epoch 1, so none after it
+            with pytest.raises(ValueError, match="^line search rejected all 60 steps at epoch 1"):
+                _descend(loss, gradient, w0, lr, epochs, line_search)
+            return
+        weights, losses = _descend(loss, gradient, w0, lr, epochs, line_search)
         assert len(losses) == epochs + 1
         assert weights.tobytes() == expected_weights.tobytes()
         assert np.array(losses).tobytes() == np.array(expected_losses).tobytes()
@@ -65,19 +71,34 @@ class TestDescend:
         assert losses == [loss(np.zeros(3))] * 51
         assert weights.tobytes() == np.zeros(3).tobytes()
 
+    def test_a_line_search_that_rejects_every_try_at_epoch_1_raises(self):
+        w0 = np.array([1.0, -2.0])
+        trials = []
+
+        def loss(weights):
+            trials.append(weights)
+            return float(weights @ weights)
+
+        # Even the 60th halving of 2**70 moves the weights uphill, so every try is scored and rejected.
+        with pytest.raises(ValueError, match=r"^line search rejected all 60 steps at epoch 1, down to lr / 2\*\*59; "
+                                             r"lower the learning rate \(--lr\)$"):
+            _descend(loss, lambda w: -2.0 * w, w0, 2.0**70, 30, True)
+        assert len(trials) == 1 + 60
+
     def test_a_line_search_that_rejects_every_try_ends_the_loop(self):
         w0 = np.array([1.0, -2.0])
         calls = []
 
-        def uphill(weights):
+        def gradient(weights):
+            # Epoch 1's step of 2**70 halves w0; from then on the direction points uphill, and even
+            # the 60th halving of 2**70 moves the weights, so every try is scored and rejected.
             calls.append(weights)
-            return -2.0 * weights
+            return weights * 2.0**-71 if weights @ weights > 2.0 else -2.0 * weights
 
-        # Even the 60th halving of 2**70 moves the weights, so every try is scored and rejected.
-        weights, losses = _descend(lambda w: float(w @ w), uphill, w0, 2.0**70, 30, True)
-        assert len(calls) == 1
-        assert weights is w0
-        assert losses == [5.0] * 31
+        weights, losses = _descend(lambda w: float(w @ w), gradient, w0, 2.0**70, 30, True)
+        assert len(calls) == 2
+        assert weights.tolist() == [0.5, -1.0]
+        assert losses == [5.0] + [1.25] * 30
 
     def test_a_fixed_step_that_overflows_raises_naming_the_epoch(self):
         loss, gradient = logistic_problem(1, 8, 3)
@@ -93,11 +114,20 @@ class TestDescend:
         assert losses[1] == 0.25 and all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_a_line_search_rejects_trials_whose_loss_is_not_finite(self):
-        loss, gradient = logistic_problem(1, 8, 3)
-        weights, losses = _descend(loss, gradient, np.zeros(3), 1e308, 5, True)
-        assert np.isfinite(weights).all()
-        assert all(math.isfinite(value) for value in losses)
-        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        # From w = 1e150 (loss 1e300), the steps 2**20 down to 2**13 overshoot past 1e154 and the
+        # loss overflows to inf; 2**12 down to 2 overshoot less and raise it; 1 gives -1e150.
+        trial_losses = []
+
+        def loss(weights):
+            value = float(weights @ weights)
+            trial_losses.append(value)
+            return value
+
+        weights, losses = _descend(loss, lambda w: 2.0 * w, np.array([1e150]), 2.0**20, 1, True)
+        assert trial_losses[1:9] == [math.inf] * 8 and all(map(math.isfinite, trial_losses[9:]))
+        assert len(trial_losses) == 1 + 21
+        assert weights.tolist() == [-1e150]
+        assert losses == [trial_losses[0]] * 2
 
 
 class TestTrainersStopAtTheFixedPoint:

@@ -37,6 +37,8 @@ from helpers import (
     full_width_detector_descent,
     oracle_detector_features,
     oracle_ngram_index,
+    oracle_serialize_dialog,
+    straight_line_detect_score,
     truncated,
     with_field,
     without_field,
@@ -45,6 +47,17 @@ from helpers import (
 
 def dialog(*turns):
     return DialogInstance("d0000", tuple(DialogTurn(s, t) for s, t in turns))
+
+
+def same_float(a, b) -> bool:
+    """Bit-equal floats, or both nan (a nan's sign and payload are the platform's choice)."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+# History speakers drawn in any order; the current turn is always the user's.
+speaker_sequences = st.lists(st.sampled_from([Speaker.USER, Speaker.SYS]), max_size=12).map(
+    lambda history: [*history, Speaker.USER]
+)
 
 
 class TestSerializeDialog:
@@ -69,6 +82,14 @@ class TestSerializeDialog:
         a = dialog((Speaker.USER, "x"), (Speaker.USER, "y"))
         b = dialog((Speaker.USER, "y"), (Speaker.USER, "x"))
         assert serialize_dialog(a) != serialize_dialog(b)
+
+    @settings(deadline=None, max_examples=100)
+    @given(speakers=speaker_sequences, data=st.data())
+    def test_equals_the_tag_by_tag_oracle(self, speakers, data):
+        texts = data.draw(st.lists(st.sampled_from(["", "hi", "[Sys]", "Ünï ΟΔΟΣ", "a\x00b"]),
+                                   min_size=len(speakers), max_size=len(speakers)))
+        turns = tuple(map(DialogTurn, speakers, texts))
+        assert serialize_dialog(DialogInstance("d0000", turns)) == oracle_serialize_dialog(turns)
 
 
 class TestFeaturize:
@@ -164,6 +185,17 @@ class TestDetectScore:
         model = DetectorModel(weights, 16, 2, 0.5)
         assert detect_score(model, [3, 3, 17]) == detect_score(DetectorModel(2 * weights, 16, 2, 0.5), [3])
 
+    # numpy's pairwise sum adds 8 at a time, so counts on both sides of 8 take both of its paths. At
+    # scale 1e305 the sums overflow to +-inf, or to nan where both infinities meet.
+    @settings(deadline=None, max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.one_of(st.integers(0, 8), st.integers(9, 300)),
+           scale=st.sampled_from([1e-3, 1.0, 40.0, 1e305]))
+    def test_equals_the_straight_line_score(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        model = DetectorModel(rng.standard_normal(18) * scale, 16, 2, 0.5)
+        columns = rng.integers(0, 18, n).tolist()
+        assert same_float(detect_score(model, columns), straight_line_detect_score(model.weights, columns))
+
     def test_monotone_in_positive_coordinate(self):
         h = [5, 5]
         weights = np.zeros(18)
@@ -171,6 +203,23 @@ class TestDetectScore:
         weights[5] = 0.5
         high = detect_score(DetectorModel(weights, 16, 2, 0.5), h)
         assert high > low
+
+
+class TestSigmoid:
+    """The request path's one-exp logistic function against the batch path's vector form."""
+
+    SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 709.8, -709.8, 745.2, -745.2, 5e-324, -5e-324, 1e308, -1e308]
+
+    @settings(deadline=None, max_examples=400)
+    @given(z=st.one_of(st.sampled_from(SPECIAL), st.floats(-800.0, 800.0), st.floats()))
+    def test_equals_the_vector_form_bit_for_bit(self, z):
+        assert same_float(detection._sigmoid(np.float64(z)), detection._sigmoid_vector(np.array([z]))[0])
+        assert same_float(detection._sigmoid(z), detection._sigmoid_vector(np.float64(z)))
+
+    def test_specials(self):
+        values = [detection._sigmoid(z) for z in self.SPECIAL]
+        assert values[:4] == [0.5, 0.5, 1.0, 0.0] and math.isnan(values[4])
+        assert type(values[0]) is float
 
 
 class TestDetectorModel:
@@ -441,7 +490,9 @@ class TestBatchDetection:
             n_turns = case.draw(st.sampled_from([1, 2, 5, 40]))
             texts = case.draw(st.lists(st.lists(st.sampled_from(self.WORDS), max_size=12).map(" ".join),
                                        min_size=n_turns, max_size=n_turns))
-            speakers = [Speaker.USER if (n_turns - 1 - t) % 2 == 0 else Speaker.SYS for t in range(n_turns)]
+            history = case.draw(st.lists(st.sampled_from([Speaker.USER, Speaker.SYS]),
+                                         min_size=n_turns - 1, max_size=n_turns - 1))
+            speakers = [*history, Speaker.USER]
             dialogs.append(DialogInstance(f"d{i:04d}", tuple(map(DialogTurn, speakers, texts))))
         columns, lengths = detection._featurize_batch(dialogs, hash_dim, turn_buckets)
         expected = [featurize(serialize_dialog(d), len(d.turns), hash_dim, turn_buckets) for d in dialogs]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgdial import corpus as corpus_module
 from kgdial.corpus import Corpus, DialogTurn, KnowledgeSnippet, Speaker, candidate_set, labeled_candidates, write_corpus
@@ -17,6 +19,8 @@ from kgdial.pipeline import (
     run_pipeline,
 )
 from kgdial.selector import SelectorModel, default_kernel_bank, selection_distribution, selection_instances
+
+from helpers import oracle_generation_input
 
 
 def snippet(title, body=""):
@@ -59,6 +63,17 @@ class TestFormatGenerationInput:
         ]
         text = format_generation_input(snippet("q?", "a."), history, "r")
         assert text == "<BOS>q? a.<sp1>u1<sp2>s1<sp1>u2<sp2>r<EOS>"
+
+    @settings(deadline=None, max_examples=100)
+    @given(history=st.lists(st.sampled_from([Speaker.USER, Speaker.SYS]), max_size=12), data=st.data())
+    def test_equals_the_tag_by_tag_oracle(self, history, data):
+        speakers = [Speaker.USER, *history]
+        texts = data.draw(st.lists(st.sampled_from(["", "hi", "<sp2>", "Ünï ΟΔΟΣ", "a\x00b"]),
+                                   min_size=len(speakers), max_size=len(speakers)))
+        turns = list(map(DialogTurn, speakers, texts))
+        response = data.draw(st.sampled_from([None, "", "ok"]))
+        expected = oracle_generation_input(snippet("q?", "a."), turns, response)
+        assert format_generation_input(snippet("q?", "a."), turns, response) == expected
 
     def test_first_turn_must_be_user(self):
         with pytest.raises(ValueError, match="first history turn"):

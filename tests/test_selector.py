@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -19,7 +21,7 @@ from kgdial.corpus import (
     SynthParams,
     synth_corpus,
 )
-from kgdial.embedding import FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
+from kgdial.embedding import MAX_KNOWLEDGE_TOKENS, FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
     EXACT_MU,
@@ -209,16 +211,20 @@ class TestKernelFeatures:
         assert abs(features[-1] - (0.0 + math.log(KERNEL_EPS)) / 2.0) < 1e-12
 
     # Questions of 8 or more rows are where numpy's mean summed a lone candidate's column pairwise.
-    @settings(deadline=None, max_examples=60)
-    @given(m=st.integers(1, 64), widths=st.tuples(st.integers(1, 12), st.integers(1, 12)), seed=st.integers(0, 2**32 - 1))
-    def test_a_candidates_row_does_not_depend_on_the_others(self, bank11, m, widths, seed):
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.integers(1, 64), widths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+           n_kernels=st.integers(2, 11), seed=st.integers(0, 2**32 - 1))
+    def test_a_candidates_row_does_not_depend_on_the_others(self, m, widths, n_kernels, seed):
         rng = np.random.default_rng(seed)
+        bank = default_kernel_bank(n_kernels)
         matrix = rng.uniform(-1.0, 1.0, (m, sum(widths)))
         matrix[rng.random(matrix.shape) < 0.2] = 1.0  # exact matches
-        both = kernel_features(matrix, bank11, (0, widths[0]))
-        for row, part in enumerate((matrix[:, : widths[0]], matrix[:, widths[0] :])):
-            assert kernel_features(part, bank11).tobytes() == both[row].tobytes()
-            assert kernel_features(part, bank11, (0,)).tobytes() == both[row : row + 1].tobytes()
+        bounds = [0, *accumulate(widths)]
+        pooled = kernel_features(matrix, bank, bounds[:-1])
+        assert pooled.shape == (len(widths), n_kernels) and pooled.flags.c_contiguous
+        for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            assert kernel_features(matrix[:, a:b], bank).tobytes() == pooled[row].tobytes()
+            assert kernel_features(matrix[:, a:b], bank, (0,)).tobytes() == pooled[row : row + 1].tobytes()
 
 
 class TestNodeFeatures:
@@ -455,6 +461,37 @@ class TestTrainSelector:
         assert np.all(np.isfinite(model.readout_weights))
         assert len(losses) == 2001
         assert all(math.isfinite(loss) for loss in losses)
+
+
+class TestScorableWeights:
+    """A weight vector whose score spread could overflow is rejected; any other scores every candidate."""
+
+    def test_a_fit_past_the_bound_raises_when_it_returns(self, provider7):
+        corpus = synth_corpus(1, SynthParams(n_dialogs=20, n_candidates=4))
+        with pytest.raises(ValueError, match=r"^readout_weights too large to score candidates: 46\.05 \* sum \|w\| overflows "):
+            train_selector(corpus, provider7, SelectorHyper(lr=1e308, line_search=True))
+
+    def test_a_file_past_the_bound_is_rejected_at_load(self, bank11, provider7, tmp_path):
+        path = tmp_path / "selector.json"
+        save_selector(SelectorModel(bank11, np.full(11, 1e306)), provider7, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: readout_weights too large to score candidates"):
+            load_selector(path)
+
+    @settings(deadline=None, max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), n_candidates=st.integers(1, 8), attention=st.booleans())
+    def test_weights_within_the_bound_score_candidates_at_the_feature_extremes(self, bank11, seed, n_candidates,
+                                                                               attention):
+        rng = np.random.default_rng(seed)
+        extremes = [math.log(KERNEL_EPS), math.log(MAX_KNOWLEDGE_TOKENS)]
+        features = rng.choice(extremes, (n_candidates, 11))
+        weights = rng.standard_normal(11) * rng.choice([1.0, 1e-300], 11)
+        weights *= np.finfo(float).max / selector.SCORE_SPREAD / np.abs(weights).sum() * (1 - 1e-9)
+        selector.check_scorable(weights)
+        with np.errstate(over="raise", invalid="raise"):
+            dist = readout(features, SelectorModel(bank11, weights, attention))
+        assert np.isfinite(dist.scores).all()
+        with pytest.raises(ValueError, match="^readout_weights too large"):
+            selector.check_scorable(2.0 * weights)
 
 
 class TestSelectorHyper:
