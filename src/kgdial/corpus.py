@@ -50,6 +50,11 @@ class Speaker(Enum):
     SYS = "S"
 
 
+# Speaker.USER bound once, for per-turn code that tells speakers apart with ``is``: an
+# Enum member's hash, and a member read off its class, are Python-level calls.
+_USER = Speaker.USER
+
+
 class SnippetRef(NamedTuple):
     """Identity of one knowledge snippet."""
 

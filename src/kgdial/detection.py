@@ -24,15 +24,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, DialogInstance, Speaker, _load, _number_array, _write_json
+from .corpus import _USER, Corpus, DialogInstance, _load, _number_array, _write_json
 from .descent import _descend, _scored_once, check_schedule
 from .embedding import tokenize, tokenize_batch
 
-SPEAKER_PREFIX = {Speaker.USER: "[User]", Speaker.SYS: "[Sys]"}
-# Read with an identity test, not a dict lookup: an Enum's hash, and a member
-# looked up on its class, are Python-level calls.
-_USER = Speaker.USER
-_USER_PREFIX, _SYS_PREFIX = SPEAKER_PREFIX[Speaker.USER], SPEAKER_PREFIX[Speaker.SYS]
+USER_PREFIX = "[User]"
+SYS_PREFIX = "[Sys]"
 
 # The n-gram hash a detector was trained with; recorded in every detector file.
 NGRAM_HASH = "crc32"
@@ -47,9 +44,9 @@ def serialize_dialog(dialog: DialogInstance) -> str:
     turns = dialog.turns
     if not turns or turns[-1].speaker is not _USER:
         raise ValueError(f"dialog {dialog.id}: last turn must be a user turn")
-    parts = [_USER_PREFIX, turns[-1].text]
+    parts = [USER_PREFIX, turns[-1].text]
     for turn in turns[:-1]:
-        parts.append(_USER_PREFIX if turn.speaker is _USER else _SYS_PREFIX)
+        parts.append(USER_PREFIX if turn.speaker is _USER else SYS_PREFIX)
         parts.append(turn.text)
     return "".join(parts)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker, candidate_set, rank_order
+from .corpus import _USER, Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, candidate_set, rank_order
 from .detection import DetectorModel, detect
 from .selector import SelectionDistribution, SelectorModel, selection_distribution
 
@@ -19,9 +19,6 @@ BOS = "<BOS>"
 EOS = "<EOS>"
 SP_USER = "<sp1>"
 SP_SYS = "<sp2>"
-
-# An Enum's hash, and a member looked up on its class, are Python-level calls; an identity test is not.
-_USER = Speaker.USER
 
 
 def format_generation_input(

@@ -138,8 +138,7 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
     (2 sigma_k^2)), 1e-10)), where j runs over one candidate's columns
     (all columns when ``starts`` is None). The responses are built in place
     in one K x m x p array, so each candidate's sum over j runs along the
-    contiguous last axis. Those sums are written into an m x K x l array,
-    whose sum over i, along the outer axis, adds the rows in order, so a
+    contiguous last axis, and the sum over i adds the rows in order, so a
     candidate's features do not depend on the other columns of the call.
     Raises ValueError unless ``starts`` begin at 0, strictly increase and
     stay below the column count.
@@ -152,16 +151,15 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
             f"starts must begin at 0, strictly increase and stay below {matrix.shape[1]} columns, "
             f"got {[int(s) for s in starts]}"
         )
-    responses = np.subtract(matrix, bank.mus[:, None, None])  # K-major: an m x K x p broadcast is slower
+    responses = np.subtract(matrix, bank.mus[:, None, None])
     np.square(responses, out=responses)
     responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps
-    segments = (0,) if starts is None else starts
-    # Summed along the outer axis, the m rows add in order; along the middle axis, a lone
-    # candidate's m x 1 column would be summed pairwise instead.
-    pooled = np.empty((matrix.shape[0], bank.size, len(segments)))
-    np.add.reduceat(np.exp(responses, out=responses), segments, axis=2, out=pooled.transpose(1, 0, 2))
+    pooled = np.add.reduceat(np.exp(responses, out=responses), (0,) if starts is None else starts, axis=2)
     np.log(np.maximum(pooled, KERNEL_EPS, out=pooled), out=pooled)
-    means = np.add.reduce(pooled, axis=0) / pooled.shape[0]
+    # Summed along the outer axis of an m x K x l copy, the m rows add in order; along the
+    # middle axis, a lone candidate's m x 1 column would be summed pairwise instead.
+    rows = np.ascontiguousarray(pooled.transpose(1, 0, 2))
+    means = np.add.reduce(rows, axis=0) / rows.shape[0]
     features = np.ascontiguousarray(means.T)  # BLAS rounds a transposed view differently
     return features[0] if starts is None else features
 
