@@ -97,7 +97,7 @@ class _TokenVectors:
         """
         rows = self._rows
         try:
-            index = list(map(rows.__getitem__, tokens))
+            index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         except KeyError:
             index = [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
         # Read the table only now: storing a new token can reallocate it.

@@ -8,8 +8,7 @@ slot, and "<EOS>". Response generation itself is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .corpus import _USER, Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, candidate_set, rank_order
 from .detection import DetectorModel, detect
@@ -44,9 +43,11 @@ def format_generation_input(
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """Outcome of one dialog pass; selection fields are set iff triggered."""
+class PipelineResult(NamedTuple):
+    """Outcome of one dialog pass; selection fields are set iff triggered.
+
+    A tuple: it compares, indexes and unpacks as one, in field order.
+    """
 
     triggered: bool
     detection_probability: float

@@ -79,6 +79,10 @@ class KernelBank:
                 f"exactly one exact-match kernel (mu={EXACT_MU}, sigma={EXACT_SIGMA}) "
                 "must sit at the last index"
             )
+        # K x 1 x 1 columns that kernel_features broadcasts against a matrix, built once per bank
+        # from the mus and sigmas it checked.
+        object.__setattr__(self, "_centers", mus[:, None, None].copy())
+        object.__setattr__(self, "_scales", (-2.0 * np.square(sigmas))[:, None, None])
 
     @property
     def size(self) -> int:
@@ -121,14 +125,14 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):  # an overflowing row is rescaled below
         squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
-    overflow = np.isinf(squares)
-    if overflow.any():
+    if np.fmax.reduce(squares, initial=0.0) == np.inf:  # fmax passes over a nan, as isinf(...).any() would
+        overflow = np.isinf(squares)
         vectors = vectors.copy()
         vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
         squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
     norms = np.sqrt(squares, out=squares)
     norms[norms < 1e-12] = np.inf
-    return vectors * (1.0 / norms)[:, None]
+    return vectors * np.divide(1.0, norms, out=norms)[:, None]
 
 
 def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.ndarray:
@@ -151,9 +155,9 @@ def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.nda
             f"starts must begin at 0, strictly increase and stay below {matrix.shape[1]} columns, "
             f"got {[int(s) for s in starts]}"
         )
-    responses = np.subtract(matrix, bank.mus[:, None, None])
+    responses = np.subtract(matrix, bank._centers)
     np.square(responses, out=responses)
-    responses /= (-2.0 * np.square(bank.sigmas))[:, None, None]  # as the formula; a reciprocal moves ulps
+    responses /= bank._scales  # -2 sigma^2, as the formula; a reciprocal moves ulps
     pooled = np.add.reduceat(np.exp(responses, out=responses), (0,) if starts is None else starts, axis=2)
     np.log(np.maximum(pooled, KERNEL_EPS, out=pooled), out=pooled)
     # Summed along the outer axis of an m x K x l copy, the m rows add in order; along the
@@ -238,7 +242,12 @@ class SelectionDistribution:
             raise ValueError("probabilities and scores must be equal-length vectors")
         if self.candidates is not None and len(self.candidates) != p.size:
             raise ValueError("candidates length must match probabilities")
-        if not np.all(np.isfinite(p) & (p >= 0)) or abs(p.sum() - 1.0) > 1e-9:
+        # A nan or -inf fails the minimum's test, a +inf the maximum's. A float sum of entries >= 0
+        # is at least the largest of them, so the maximum's test rejects no vector whose sum lies
+        # within 1e-9 of 1, and it keeps the sum from overflowing.
+        if not (
+            np.minimum.reduce(p) >= 0 and np.maximum.reduce(p) <= 2.0 and abs(np.add.reduce(p) - 1.0) <= 1e-9
+        ):
             raise ValueError("probabilities must be finite, zero or positive, and sum to 1")
 
     @property
@@ -259,9 +268,8 @@ def readout(
     if model.attention_enabled:
         features = cross_node_attention(features)
     scores = features @ model.readout_weights
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return SelectionDistribution(exp / exp.sum(), scores, candidates)
+    exp = np.exp(scores - np.maximum.reduce(scores))
+    return SelectionDistribution(np.divide(exp, np.add.reduce(exp), out=exp), scores, candidates)
 
 
 def selection_loss(dist: SelectionDistribution, golden_index: int) -> float:

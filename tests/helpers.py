@@ -139,6 +139,55 @@ def straight_line_detect_score(weights: np.ndarray, columns) -> float:
     return float(np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-abs(z))))
 
 
+def first_probability_rule(probabilities) -> bool:
+    """Whether ``SelectionDistribution`` accepted the vector as first written.
+
+    Every entry finite and >= 0, then the sum within 1e-9 of 1. The sum's
+    overflow warning is silenced: an overflowing sum is inf and rejected.
+    """
+    p = np.asarray(probabilities, dtype=float)
+    if not np.all(np.isfinite(p) & (p >= 0)):
+        return False
+    with np.errstate(over="ignore"):
+        return not abs(p.sum() - 1.0) > 1e-9
+
+
+def straight_line_softmax(scores: np.ndarray) -> np.ndarray:
+    """exp(s - max s) divided by its sum, through numpy's ``max`` and ``sum`` methods, as readout first wrote it."""
+    shifted = scores - scores.max()
+    exp = np.exp(shifted)
+    return exp / exp.sum()
+
+
+def first_unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows at unit norm as first written: a norm below 1e-12 becomes inf, so its row scales by 1/inf = 0.
+
+    A row whose squared norm overflows is divided by its largest magnitude, in a copy, first.
+    """
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce(vectors * vectors, axis=1)
+    overflow = np.isinf(squares)
+    if overflow.any():
+        vectors = vectors.copy()
+        vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
+        squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
+    norms = np.sqrt(squares)
+    norms[norms < 1e-12] = np.inf
+    return vectors * (1.0 / norms)[:, None]
+
+
+def first_kernel_features(matrix: np.ndarray, mus, sigmas, starts) -> np.ndarray:
+    """l x K kernel features with the center and -2 sigma^2 columns built from ``mus`` and ``sigmas`` on the call."""
+    mus, sigmas = np.asarray(mus, dtype=float), np.asarray(sigmas, dtype=float)
+    responses = np.subtract(matrix, mus[:, None, None])
+    np.square(responses, out=responses)
+    responses /= (-2.0 * np.square(sigmas))[:, None, None]
+    pooled = np.add.reduceat(np.exp(responses, out=responses), starts, axis=2)
+    np.log(np.maximum(pooled, 1e-10, out=pooled), out=pooled)
+    rows = np.ascontiguousarray(pooled.transpose(1, 0, 2))
+    return np.ascontiguousarray((np.add.reduce(rows, axis=0) / rows.shape[0]).T)
+
+
 SPEAKER_TAGS = {"U": ("[User]", "<sp1>"), "S": ("[Sys]", "<sp2>")}
 
 

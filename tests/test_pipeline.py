@@ -169,6 +169,15 @@ class TestResultPayload:
         ]
         assert payload["selection"]["candidate_refs"][-1] == payload["top_snippet"]
 
+    def test_a_result_compares_and_unpacks_as_a_tuple(self):
+        result = PipelineResult(False, 0.25)
+        assert result == (False, 0.25, None, None, None)
+        triggered, probability, *selection_fields = result
+        assert (triggered, probability, selection_fields) == (False, 0.25, [None, None, None])
+        assert PipelineResult._fields == (
+            "triggered", "detection_probability", "selection", "top_snippet", "generation_input"
+        )
+
     def test_untriggered_payload_nulls(self):
         payload = result_to_payload(PipelineResult(False, 0.25))
         assert payload["selection"] is None

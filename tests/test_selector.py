@@ -49,6 +49,7 @@ from kgdial.selector import (
     _batch,
     _mean_loss,
     _shifted_scores,
+    _unit_rows,
 )
 
 from helpers import (
@@ -56,7 +57,11 @@ from helpers import (
     ScaledProvider,
     as_array,
     finite_difference_gradient,
+    first_kernel_features,
+    first_probability_rule,
+    first_unit_rows,
     naive_node_features,
+    straight_line_softmax,
     truncated,
     with_field,
     with_literal,
@@ -176,6 +181,39 @@ class TestTranslationMatrix:
             assert np.all(np.abs(matrix) <= 1.0 + 1e-9)
 
 
+@st.composite
+def row_matrices(draw):
+    """1-8 rows of 2-8 entries; each row zero, of norm below 1e-12, of norm near 1e-12, ordinary, or overflowing."""
+    d = draw(st.integers(2, 8))
+
+    def entries(elements):
+        return st.lists(elements, min_size=d, max_size=d)
+
+    def at_norm(direction, norm):
+        direction = np.array(direction)
+        return direction / np.linalg.norm(direction) * norm
+
+    directions = entries(st.floats(-1.0, 1.0)).filter(lambda v: any(abs(x) > 1e-3 for x in v))
+    rows = st.one_of(
+        entries(st.sampled_from([0.0, -0.0])),
+        entries(st.floats(-1e-13, 1e-13)),  # subnormals and -0.0 among them
+        st.builds(at_norm, directions, st.floats(5e-13, 2e-12)),
+        entries(st.floats(-1e3, 1e3)),
+        entries(st.floats(-1.7e308, 1.7e308)),
+        st.builds(lambda v, big: [big, *v[1:]], entries(st.floats(-1e300, 1e300)), st.floats(1e155, 1.7e308)),
+    )
+    return np.array(draw(st.lists(rows, min_size=1, max_size=8)), dtype=float).reshape(-1, d)
+
+
+class TestUnitRows:
+    @settings(deadline=None, max_examples=300)
+    @given(vectors=row_matrices())
+    def test_equals_the_first_formula_bit_for_bit(self, vectors):
+        before = vectors.copy()
+        assert _unit_rows(vectors).tobytes() == first_unit_rows(vectors).tobytes()
+        assert vectors.tobytes() == before.tobytes()
+
+
 class TestKernelFeatures:
     def test_exact_kernel_single_match(self):
         features = kernel_features(np.array([[1.0]]), two_kernel_bank())
@@ -225,6 +263,22 @@ class TestKernelFeatures:
         for row, (a, b) in enumerate(zip(bounds, bounds[1:])):
             assert kernel_features(matrix[:, a:b], bank).tobytes() == pooled[row].tobytes()
             assert kernel_features(matrix[:, a:b], bank, (0,)).tobytes() == pooled[row : row + 1].tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(m=st.integers(1, 8), widths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+           soft=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.01, 1.0)), min_size=1, max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_a_bank_from_lists_equals_a_bank_from_arrays_and_the_first_formula(self, m, widths, soft, seed):
+        mus = [mu for mu, _ in soft] + [EXACT_MU]
+        sigmas = [sigma for _, sigma in soft] + [EXACT_SIGMA]
+        rng = np.random.default_rng(seed)
+        matrix = rng.uniform(-1.0, 1.0, (m, sum(widths)))
+        matrix[rng.random(matrix.shape) < 0.2] = 1.0
+        starts = [0, *accumulate(widths[:-1])]
+        expected = first_kernel_features(matrix, mus, sigmas, starts).tobytes()
+        for bank in (KernelBank(mus, sigmas), KernelBank(np.array(mus), np.array(sigmas))):
+            assert kernel_features(matrix, bank, starts).tobytes() == expected
+            assert kernel_features(matrix, bank).tobytes() == first_kernel_features(matrix, mus, sigmas, (0,))[0].tobytes()
 
 
 class TestNodeFeatures:
@@ -310,6 +364,22 @@ class TestReadout:
             attended.probabilities,
             readout(cross_node_attention(features), SelectorModel(two_kernel_bank(), weights)).probabilities,
         )
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        features=st.integers(1, 12).flatmap(
+            lambda l: st.lists(st.lists(st.floats(-25.0, 5.0), min_size=11, max_size=11), min_size=l, max_size=l)
+        ),
+        weights=st.lists(st.floats(-1.0, 1.0), min_size=11, max_size=11).map(np.array),
+        scale=st.sampled_from([0.01, 1.0, 1e3]),  # spread or nearly one-hot distributions
+        attention=st.booleans(),
+    )
+    def test_equals_the_straight_line_softmax(self, bank11, features, weights, scale, attention):
+        features, weights = np.array(features), weights * scale
+        dist = readout(features, SelectorModel(bank11, weights, attention))
+        scores = (cross_node_attention(features) if attention else features) @ weights
+        assert dist.scores.tobytes() == scores.tobytes()
+        assert dist.probabilities.tobytes() == straight_line_softmax(scores).tobytes()
 
     def test_distribution_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -737,7 +807,51 @@ class TestRank:
         assert all(type(ref) is SnippetRef for ref, _ in ranked)
 
 
+# Entries at the edges of the float range, and ordinary ones.
+edge_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0, 1.0 + 1e-12, 1.0 - 1e-12,
+                     2.0, 1e308, -1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def near_unit_sums(draw):
+    """Vectors of entries >= 0 summing to 1, then moved so their sum lands within or just outside 1e-9 of 1."""
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12)))
+    p = raw / raw.sum() if raw.sum() > 0 else np.full(raw.size, 1.0 / raw.size)
+    i = draw(st.integers(0, p.size - 1))
+    p[i] = max(p[i] + draw(st.sampled_from([0.0, 5e-10, 9.99e-10, 1e-9, 1.001e-9, 2e-9, -5e-10, -1e-9, -1.001e-9])), 0.0)
+    for _ in range(draw(st.integers(0, 3))):  # a few ulps either way, to straddle the bound
+        p[i] = np.nextafter(p[i], draw(st.sampled_from([0.0, 2.0])))
+    return p
+
+
 class TestSelectionDistribution:
+    @settings(deadline=None, max_examples=600)
+    @given(p=st.one_of(st.lists(edge_entries, min_size=1, max_size=10).map(np.array), near_unit_sums()))
+    def test_accepts_exactly_what_the_first_rule_accepted_without_a_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                SelectionDistribution(p, np.zeros(p.size))
+                accepted = True
+            except ValueError as error:
+                assert "sum to 1" in str(error)
+                accepted = False
+        assert accepted == first_probability_rule(p)
+
+    @pytest.mark.parametrize("p", [[1e308, 1e308], [1.7976931348623157e308] * 2, [0.25, 1e308, 0.25, 1e308]])
+    def test_an_overflowing_sum_is_rejected_without_a_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to 1"):
+                SelectionDistribution(np.array(p), np.zeros(len(p)))
+
+    def test_an_entry_just_above_1_is_accepted(self):
+        assert SelectionDistribution(np.array([1.0 + 1e-12]), np.zeros(1)).size == 1
+
     def test_carries_the_given_candidates_in_order(self, provider7, bank11):
         model = SelectorModel(bank11, np.linspace(-1.0, 1.0, 11))
         candidates = [snippet(str(i), f"t{i}") for i in (3, 0, 2, 1)]
