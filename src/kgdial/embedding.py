@@ -9,6 +9,9 @@ and compared by cosine. Two providers are available:
 * :class:`FileVectors` reads pretrained vectors from a text file
   (``token v_1 ... v_d`` per line); unknown tokens embed to the zero vector.
 
+Both keep a unit-norm copy of every row they store, so a cosine matrix
+gathers its rows normalized (see :func:`_embedded_rows`).
+
 Text that is ASCII (once lowercased, if it was not) is tokenized in C: one
 byte-table translate folds case and turns every byte that is not a letter or
 digit into a space, and ``str.split`` cuts the result. Question/knowledge
@@ -24,6 +27,7 @@ import re
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -84,22 +88,23 @@ def tokenize_batch(texts: list[str]) -> Iterator[list[str]]:
 
 
 class _TokenVectors:
-    """Base of the providers: a (rows, dim) table of token vectors and a token -> row dict."""
+    """Base of the providers: a (rows, dim) table of token vectors, its unit-norm copy and a token -> row dict."""
 
     _table: np.ndarray
+    _unit: np.ndarray  # _unit_rows of _table, row for row
     _rows: dict[str, int]
 
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        """len(tokens) x dim matrix of the tokens' vectors, gathered from the table in one take (0 x dim for none).
-
-        Rows are found by dict lookups; only a token without a row goes
-        through the provider's ``_unknown_row``.
-        """
+    def _index(self, tokens: list[str]):
+        """The tokens' table rows, found by dict lookups; only a token without a row goes through ``_unknown_row``."""
         rows = self._rows
         try:
-            index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+            return np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         except KeyError:
-            index = [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
+            return [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
+
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        """len(tokens) x dim matrix of the tokens' vectors, gathered from the table in one take (0 x dim for none)."""
+        index = self._index(tokens)
         # Read the table only now: storing a new token can reallocate it.
         return self._table.take(index, axis=0)
 
@@ -125,10 +130,14 @@ class HashedGaussianVectors(_TokenVectors):
             raise ValueError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
         self.dim = int(dim)
         self._table = np.empty((64, self.dim))
+        self._unit = np.empty_like(self._table)
         self._rows = {}
 
     def embed(self, token: str) -> np.ndarray:
-        """The token's vector, a read-only view of its table row; a new token is drawn into the next row."""
+        """The token's vector, a read-only view of its table row; a new token is drawn into the next row.
+
+        The drawn row is normalized into the unit table as it is stored.
+        """
         row = self._rows.get(token)
         if row is None:
             key = hashlib.blake2b(
@@ -139,7 +148,9 @@ class HashedGaussianVectors(_TokenVectors):
             row = len(self._rows)
             if row == len(self._table):
                 self._table = np.concatenate([self._table, np.empty_like(self._table)])
+                self._unit = np.concatenate([self._unit, np.empty_like(self._unit)])
             self._table[row] = rng.standard_normal(self.dim)
+            self._unit[row] = _unit_rows(self._table[row : row + 1])[0]
             self._rows[token] = row
         view = self._table[row]
         view.flags.writeable = False
@@ -157,7 +168,8 @@ class FileVectors(_TokenVectors):
     """Token vectors loaded from a text file, one ``token v_1 ... v_d`` line each.
 
     Out-of-vocabulary tokens embed to the zero vector, which downstream cosine
-    computation treats as similarity 0 to everything.
+    computation treats as similarity 0 to everything. The whole table is
+    normalized once, at load.
     """
 
     kind = "file-vectors"
@@ -206,6 +218,8 @@ class FileVectors(_TokenVectors):
         self._oov_row = len(vectors)
         self._table = np.vstack([*vectors, np.zeros(self.dim)])
         self._table.flags.writeable = False
+        self._unit = _unit_rows(self._table)
+        self._unit.flags.writeable = False
 
     def embed(self, token: str) -> np.ndarray:
         """The token's vector, a read-only view of its table row (the zero row out of vocabulary)."""
@@ -252,12 +266,48 @@ def provider_from_description(description: dict):
     raise ValueError(f"unknown provider kind {kind!r}")
 
 
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """The rows scaled to unit norm; a row of norm < 1e-12 becomes 0.
+
+    A row whose squared norm overflows is first divided by its largest
+    magnitude, in a copy, so its cosines are those of the same direction at a
+    representable scale and ``vectors`` is not mutated.
+    """
+    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
+        squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
+    if np.fmax.reduce(squares, initial=0.0) == np.inf:  # fmax passes over a nan, as isinf(...).any() would
+        overflow = np.isinf(squares)
+        vectors = vectors.copy()
+        vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
+        squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
+    norms = np.sqrt(squares, out=squares)
+    norms[norms < 1e-12] = np.inf
+    return vectors * np.divide(1.0, norms, out=norms)[:, None]
+
+
+def _embedded_rows(provider, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The tokens' vectors and the same rows at unit norm (:func:`_unit_rows`).
+
+    A provider of this module gathers both from its tables, whose rows are
+    finite and normalized when stored. Any other provider's ``embed_tokens``
+    rows are checked finite and normalized on the call.
+    """
+    if isinstance(provider, _TokenVectors):
+        index = provider._index(tokens)  # before the tables are read: a new token can reallocate them
+        return provider._table.take(index, axis=0), provider._unit.take(index, axis=0)
+    vectors = provider.embed_tokens(tokens)
+    if not np.isfinite(vectors).all():
+        raise ValueError("embedding entries must be finite")
+    return vectors, _unit_rows(vectors)
+
+
 @dataclass(frozen=True)
 class PairEmbedding:
     """Token-level embeddings of one question and l knowledge snippets, stacked in one (m + p) x d matrix.
 
     The question's m rows come first; snippet i's rows start ``knowledge_starts[i]``
     rows after them, in candidate order. Starts are stored as a tuple of ints.
+    ``unit`` holds the same rows at unit norm (:func:`_unit_rows`).
     """
 
     vectors: np.ndarray
@@ -275,6 +325,17 @@ class PairEmbedding:
             raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
         if not np.isfinite(self.vectors).all():
             raise ValueError("embedding entries must be finite")
+
+    @classmethod
+    def _trusted(cls, vectors: np.ndarray, m: int, knowledge_starts: tuple[int, ...], unit: np.ndarray):
+        """A pair whose fields the caller has already made valid, built without the constructor's checks."""
+        pair = object.__new__(cls)
+        vars(pair).update(vectors=vectors, m=m, knowledge_starts=knowledge_starts, unit=unit)
+        return pair
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        return _unit_rows(self.vectors)
 
     @property
     def p(self) -> int:
@@ -312,9 +373,14 @@ def _pair_tokens(question: str, candidates: Sequence[KnowledgeSnippet]) -> tuple
 
 
 def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) -> PairEmbedding:
-    """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call."""
+    """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call.
+
+    The constructor's checks are not run again: ``_pair_tokens`` bounds m and
+    the widths and builds the starts, and ``_embedded_rows`` the finiteness.
+    """
     tokens, m, starts = _pair_tokens(question, candidates)
-    return PairEmbedding(provider.embed_tokens(tokens), m, starts)
+    vectors, unit = _embedded_rows(provider, tokens)
+    return PairEmbedding._trusted(vectors, m, starts, unit)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .corpus import _USER, Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, candidate_set, rank_order
+from .corpus import _USER, Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, candidate_set
 from .detection import DetectorModel, detect
 from .selector import SelectionDistribution, SelectorModel, selection_distribution
 
@@ -67,14 +67,15 @@ def run_pipeline(
     """Detect; when triggered, rank the entity's snippets and format the input.
 
     The top snippet comes first in :func:`~kgdial.corpus.rank_order` of selection
-    probability, and the generation input leaves the response slot empty.
+    probability: the first largest probability, which ``argmax`` finds without
+    a sort. The generation input leaves the response slot empty.
     """
     probability, triggered = detect(detector, dialog)
     if not triggered:
         return PipelineResult(False, probability)
     candidates = candidate_set(corpus, entity)
     dist = selection_distribution(selector_model, provider, dialog.current_turn.text, candidates)
-    top = candidates[rank_order(dist.probabilities)[0]]
+    top = candidates[dist.probabilities.argmax()]
     return PipelineResult(True, probability, dist, top.ref, format_generation_input(top, dialog.turns))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _load, _number_array, _write_json, labeled_candidates, rank_order
 from .descent import _descend, _scored_once, check_schedule
-from .embedding import PairEmbedding, _pair_tokens, embed_pair, provider_from_description
+from .embedding import PairEmbedding, _embedded_rows, _pair_tokens, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
 KERNEL_EPS = 1e-10
@@ -108,31 +108,12 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    All rows of ``pair.vectors`` are normalized together in one pass by :func:`_unit_rows`:
+    Reads the pair's unit-norm rows (:func:`~kgdial.embedding._unit_rows`):
     a row of norm < 1e-12 gives entries of 0, and a row whose squared norm
     overflows keeps its cosines.
     """
-    unit = _unit_rows(pair.vectors)
+    unit = pair.unit
     return unit[: pair.m] @ unit[pair.m :].T
-
-
-def _unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """The rows scaled to unit norm; a row of norm < 1e-12 becomes 0.
-
-    A row whose squared norm overflows is first divided by its largest
-    magnitude, in a copy, so its cosines are those of the same direction at a
-    representable scale and ``vectors`` is not mutated.
-    """
-    with np.errstate(over="ignore"):  # an overflowing row is rescaled below
-        squares = np.add.reduce(vectors * vectors, axis=1)  # pairwise, as np.linalg.norm; einsum moves ulps
-    if np.fmax.reduce(squares, initial=0.0) == np.inf:  # fmax passes over a nan, as isinf(...).any() would
-        overflow = np.isinf(squares)
-        vectors = vectors.copy()
-        vectors[overflow] /= np.abs(vectors[overflow]).max(axis=1, keepdims=True)
-        squares[overflow] = np.add.reduce(vectors[overflow] ** 2, axis=1)
-    norms = np.sqrt(squares, out=squares)
-    norms[norms < 1e-12] = np.inf
-    return vectors * np.divide(1.0, norms, out=norms)[:, None]
 
 
 def kernel_features(matrix: np.ndarray, bank: KernelBank, starts=None) -> np.ndarray:
@@ -386,16 +367,13 @@ def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[Sele
 def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionInstance]:
     """Instances of (tokens, m, starts, golden index) dialogs: the request path's arithmetic, batched.
 
-    One ``embed_tokens`` call and one normalization cover every row; each
-    dialog gets its own m x p matmul, as on a request; then one
+    One gather of unit-norm rows (:func:`~kgdial.embedding._embedded_rows`)
+    covers every row; each dialog gets its own m x p matmul, as on a request; then one
     ``kernel_features`` call per question length m pools the dialogs'
     concatenated columns, so each mean over m and each candidate's sum is
     the one a request computes.
     """
-    vectors = provider.embed_tokens(list(chain.from_iterable(tokens for tokens, *_ in chunk)))
-    if not np.isfinite(vectors).all():
-        raise ValueError("embedding entries must be finite")
-    unit = _unit_rows(vectors)
+    _, unit = _embedded_rows(provider, list(chain.from_iterable(tokens for tokens, *_ in chunk)))
     groups: dict[int, list] = {}
     first = 0
     for index, (tokens, m, starts, _) in enumerate(chunk):

@@ -50,6 +50,16 @@ class ScaledProvider:
         return np.array([self.embed(t) for t in tokens])
 
 
+class EmbedTokensOnly:
+    """Wraps a provider behind its ``embed_tokens`` alone, so its rows take the path of providers without a unit table."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def embed_tokens(self, tokens):
+        return self.base.embed_tokens(tokens)
+
+
 def naive_cosine(a, b) -> float:
     dot = 0.0
     na = 0.0

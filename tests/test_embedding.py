@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from kgdial.embedding import (
     FileVectors,
     HashedGaussianVectors,
     PairEmbedding,
+    _embedded_rows,
+    _unit_rows,
     build_vocabulary,
     embed_pair,
     provider_from_description,
@@ -152,6 +155,38 @@ class TestHashedGaussianVectors:
         np.testing.assert_array_equal(clone.embed("x"), provider.embed("x"))
 
 
+class TestUnitTable:
+    """Each provider's stored unit rows equal ``_unit_rows`` of its vectors, bit for bit."""
+
+    def check(self, provider, tokens):
+        vectors, unit = _embedded_rows(provider, tokens)
+        assert vectors.tobytes() == provider.embed_tokens(tokens).tobytes()
+        assert unit.tobytes() == _unit_rows(provider.embed_tokens(tokens)).tobytes()
+
+    def test_hashed_rows_drawn_by_interleaved_embed_and_embed_tokens_calls(self):
+        provider = HashedGaussianVectors(seed=7, dim=32)
+        tokens = [f"t{i}" for i in range(200)]
+        for first in range(0, len(tokens), 9):
+            provider.embed(tokens[first])
+            # The next eight are new to embed_tokens; every fifth token before them is stored.
+            self.check(provider, tokens[first : first + 9] + tokens[:first:5])
+        assert len(provider._rows) == 200 and len(provider._unit) > 64
+        self.check(provider, tokens)
+
+    def test_file_vectors_zero_tiny_overflowing_and_out_of_vocabulary_rows(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_text("zero 0 0 0\ntiny 1e-13 0 -2e-13\nunder 1e-200 2e-200 -1e-200\n"
+                        "big 1e200 -3e199 5e199\nplain 1 2 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            provider = FileVectors(path)
+        tokens = ["zero", "tiny", "under", "big", "plain", "oov", "big"]
+        self.check(provider, tokens)
+        unit = _embedded_rows(provider, tokens)[1]
+        assert not unit[[0, 1, 2, 5]].any()
+        np.testing.assert_allclose(np.linalg.norm(unit[[3, 4]], axis=1), 1.0, rtol=1e-15)
+
+
 class TestFileVectors:
     def write(self, tmp_path, text):
         path = tmp_path / "vectors.txt"
@@ -255,6 +290,13 @@ class TestFileVectors:
             provider_from_description({"kind": "glove"})
 
 
+@pytest.fixture(scope="module")
+def pair_providers(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pair") / "vectors.txt"
+    path.write_text("parking 1 0 0\nfree 0 1e200 0\nünï 0 0 0\nw01 -1 2 0.25\n")
+    return [HashedGaussianVectors(seed=7, dim=4), FileVectors(path)]
+
+
 class TestEmbedPair:
     def test_identical_single_token_pair(self):
         provider = HashedGaussianVectors(seed=7, dim=8)
@@ -349,6 +391,24 @@ class TestEmbedPair:
             rows += [provider.embed(t) for t in tokenize(item.title + " " + item.body)[:MAX_KNOWLEDGE_TOKENS]]
         assert pair.m == 1 and pair.knowledge_starts == tuple(starts)
         np.testing.assert_array_equal(pair.vectors, np.stack(rows))
+
+    @settings(deadline=None, max_examples=80)
+    @given(case=st.data())
+    def test_result_passes_the_public_constructor_unchanged(self, pair_providers, case):
+        def text():
+            n = case.draw(st.one_of(st.integers(0, 4), st.integers(60, 140)))  # across the 64 and 128 cuts
+            # "?!" alone tokenizes to the empty sentinel.
+            return " ".join(case.draw(st.lists(st.sampled_from(self.WORDS + ["?!"]), min_size=n, max_size=n)))
+
+        provider = case.draw(st.sampled_from(pair_providers))
+        candidates = [snippet(str(i), text(), text()) for i in range(case.draw(st.integers(1, 6)))]
+        pair = embed_pair(provider, text(), candidates)
+        assert type(pair.m) is int and type(pair.knowledge_starts) is tuple
+        assert all(type(start) is int for start in pair.knowledge_starts)
+        public = PairEmbedding(pair.vectors, pair.m, pair.knowledge_starts)
+        assert (public.m, public.knowledge_starts) == (pair.m, pair.knowledge_starts)
+        assert public.vectors is pair.vectors
+        assert public.unit.tobytes() == pair.unit.tobytes()
 
     def test_empty_and_overlong_segments_rejected(self):
         with pytest.raises(ValueError, match="p >= 1 per snippet"):

@@ -2,11 +2,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgdial import corpus as corpus_module
-from kgdial.corpus import Corpus, DialogTurn, KnowledgeSnippet, Speaker, candidate_set, labeled_candidates, write_corpus
+from kgdial import pipeline
+from kgdial.corpus import (
+    Corpus,
+    DialogTurn,
+    KnowledgeSnippet,
+    Speaker,
+    candidate_set,
+    labeled_candidates,
+    rank_order,
+    write_corpus,
+)
 from kgdial.detection import DetectorModel
 from kgdial.embedding import build_vocabulary, tfidf_rank
 from kgdial.fixtures import hotel_corpus
@@ -18,7 +28,13 @@ from kgdial.pipeline import (
     result_to_payload,
     run_pipeline,
 )
-from kgdial.selector import SelectorModel, default_kernel_bank, selection_distribution, selection_instances
+from kgdial.selector import (
+    SelectionDistribution,
+    SelectorModel,
+    default_kernel_bank,
+    selection_distribution,
+    selection_instances,
+)
 
 from helpers import oracle_generation_input
 
@@ -138,6 +154,32 @@ class TestRunPipeline:
             corpus.dialogs[0], ("hotel", "1"),
         )
         assert result.generation_input.endswith("<sp2><EOS>")
+
+
+# Readout scores whose softmax ties, underflows to subnormals (-740) or to zero (-800, -1e300).
+score_lists = st.lists(st.one_of(st.sampled_from([0.0, -1.0, -740.0, -800.0, -1e300]), st.floats(-750.0, 0.0)),
+                  min_size=1, max_size=8)
+
+
+class TestTopSnippet:
+    @settings(deadline=None, max_examples=300)
+    @given(scores=score_lists, negative_zeros=st.booleans())
+    @example(scores=[0.0], negative_zeros=False)  # a single candidate
+    @example(scores=[-800.0, 0.0, 0.0], negative_zeros=True)  # a zero, then a tie
+    def test_is_the_first_in_rank_order_of_the_probabilities(self, scores, negative_zeros):
+        s = np.array(scores)
+        p = np.exp(s - s.max())
+        p /= p.sum()
+        if negative_zeros:
+            p[p == 0] = -0.0
+        dist = SelectionDistribution(p, s)
+        hotel = hotel_corpus()
+        entity = ("hotel", "1")
+        corpus = Corpus({entity: hotel.snippets[entity][: p.size]}, hotel.dialogs, hotel.entity_names)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "selection_distribution", lambda *args: dist)
+            result = run_pipeline(zero_detector(), exact_match_selector(), None, corpus, corpus.dialogs[0], entity)
+        assert result.top_snippet == corpus.snippets[entity][rank_order(p)[0]].ref
 
 
 class TestResultPayload:

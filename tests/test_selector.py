@@ -21,7 +21,7 @@ from kgdial.corpus import (
     SynthParams,
     synth_corpus,
 )
-from kgdial.embedding import MAX_KNOWLEDGE_TOKENS, FileVectors, HashedGaussianVectors, PairEmbedding, embed_pair
+from kgdial.embedding import MAX_KNOWLEDGE_TOKENS, FileVectors, HashedGaussianVectors, PairEmbedding, _unit_rows, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
     EXACT_MU,
@@ -49,10 +49,10 @@ from kgdial.selector import (
     _batch,
     _mean_loss,
     _shifted_scores,
-    _unit_rows,
 )
 
 from helpers import (
+    EmbedTokensOnly,
     FixedProvider,
     ScaledProvider,
     as_array,
@@ -747,6 +747,23 @@ class TestSelectionInstances:
                                                             for j in range(2, 64, 2)))
         for provider in (provider7, FileVectors(path)):
             assert_instances_match_requests(corpus, provider, bank11)
+
+    @pytest.mark.parametrize("chunk_rows", [60, selector.CHUNK_ROWS])
+    def test_unit_tables_give_the_rows_of_a_provider_without_one(self, tmp_path, provider7, bank11, chunk_rows):
+        corpus = synth_corpus(801, SynthParams(n_dialogs=60, n_candidates=8))
+        # Odd tokens are out of the file's vocabulary; w00 overflows, w02 is zero and w04 underflows.
+        path = tmp_path / "vectors.txt"
+        path.write_text("w00 1e200 -3e199 5e199\nw02 0 0 0\nw04 1e-200 2e-200 -1e-200\n"
+                        + "".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n" for j in range(6, 64, 2)))
+        for provider in (provider7, FileVectors(path)):
+            fake = EmbedTokensOnly(provider)
+            with mock.patch.object(selector, "CHUNK_ROWS", chunk_rows):
+                pairs = zip(selection_instances(corpus, provider, bank11), selection_instances(corpus, fake, bank11))
+                for table, gathered in pairs:
+                    assert table.features.tobytes() == gathered.features.tobytes()
+            for dialog, candidates in zip(corpus.dialogs[:20], corpus.snippets.values()):
+                expected = node_features(dialog.current_turn.text, candidates, fake, bank11)
+                assert node_features(dialog.current_turn.text, candidates, provider, bank11).tobytes() == expected.tobytes()
 
     def test_non_finite_embedding_rejected(self, bank11):
         corpus = hotel_corpus()
