@@ -9,8 +9,9 @@ and compared by cosine. Two providers are available:
 * :class:`FileVectors` reads pretrained vectors from a text file
   (``token v_1 ... v_d`` per line); unknown tokens embed to the zero vector.
 
-Both keep a unit-norm copy of every row they store, so a cosine matrix
-gathers its rows normalized (see :func:`_embedded_rows`).
+Both store each row at unit norm (:func:`_unit_rows`) and keep no raw
+vector: the selector reads vectors only through cosines, so a row's length
+never matters, and a cosine matrix is one product of gathered rows.
 
 Text that is ASCII (once lowercased, if it was not) is tokenized in C: one
 byte-table translate folds case and turns every byte that is not a letter or
@@ -24,10 +25,10 @@ import hashlib
 import math
 import operator
 import re
+from array import array
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -88,32 +89,31 @@ def tokenize_batch(texts: list[str]) -> Iterator[list[str]]:
 
 
 class _TokenVectors:
-    """Base of the providers: a (rows, dim) table of token vectors, its unit-norm copy and a token -> row dict."""
+    """Base of the providers: a (rows, dim) table of unit-norm token vectors and a token -> row dict."""
 
-    _table: np.ndarray
-    _unit: np.ndarray  # _unit_rows of _table, row for row
+    _table: np.ndarray  # each row at unit norm, by _unit_rows
     _rows: dict[str, int]
 
-    def _index(self, tokens: list[str]):
-        """The tokens' table rows, found by dict lookups; only a token without a row goes through ``_unknown_row``."""
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        """len(tokens) x dim matrix of the tokens' unit vectors, gathered from the table in one take (0 x dim for none).
+
+        Rows are found by dict lookups; only a token without a row goes through ``_unknown_row``.
+        """
         rows = self._rows
         try:
-            return np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+            index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         except KeyError:
-            return [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
-
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        """len(tokens) x dim matrix of the tokens' vectors, gathered from the table in one take (0 x dim for none)."""
-        index = self._index(tokens)
+            index = [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
         # Read the table only now: storing a new token can reallocate it.
         return self._table.take(index, axis=0)
 
 
 class HashedGaussianVectors(_TokenVectors):
-    """Standard-normal token vectors keyed by (seed, token) via a stable hash.
+    """Standard-normal token vectors keyed by (seed, token) via a stable hash, stored at unit norm.
 
     The full d-dimensional draw makes vector-level collisions of distinct
-    tokens a probability-zero event. Deterministic across processes. The
+    tokens a probability-zero event. Each draw is normalized as it is
+    stored; the raw draw is not kept. Deterministic across processes. The
     seed is hashed as 8 signed bytes, so it must lie in [-2**63, 2**63), and
     ``dim`` in [2, ``MAX_EMBED_DIM``].
     """
@@ -130,14 +130,10 @@ class HashedGaussianVectors(_TokenVectors):
             raise ValueError(f"seed must lie in [-2**63, 2**63), got {self.seed}")
         self.dim = int(dim)
         self._table = np.empty((64, self.dim))
-        self._unit = np.empty_like(self._table)
         self._rows = {}
 
     def embed(self, token: str) -> np.ndarray:
-        """The token's vector, a read-only view of its table row; a new token is drawn into the next row.
-
-        The drawn row is normalized into the unit table as it is stored.
-        """
+        """The token's unit vector, a read-only view of its table row; a new token is drawn into the next row."""
         row = self._rows.get(token)
         if row is None:
             key = hashlib.blake2b(
@@ -148,9 +144,7 @@ class HashedGaussianVectors(_TokenVectors):
             row = len(self._rows)
             if row == len(self._table):
                 self._table = np.concatenate([self._table, np.empty_like(self._table)])
-                self._unit = np.concatenate([self._unit, np.empty_like(self._unit)])
-            self._table[row] = rng.standard_normal(self.dim)
-            self._unit[row] = _unit_rows(self._table[row : row + 1])[0]
+            self._table[row] = _unit_rows(rng.standard_normal((1, self.dim)))[0]
             self._rows[token] = row
         view = self._table[row]
         view.flags.writeable = False
@@ -167,9 +161,10 @@ class HashedGaussianVectors(_TokenVectors):
 class FileVectors(_TokenVectors):
     """Token vectors loaded from a text file, one ``token v_1 ... v_d`` line each.
 
-    Out-of-vocabulary tokens embed to the zero vector, which downstream cosine
-    computation treats as similarity 0 to everything. The whole table is
-    normalized once, at load.
+    Every row is normalized once, at load, and only the unit rows are kept;
+    a row of norm < 1e-12 becomes the zero vector. Out-of-vocabulary tokens
+    embed to the zero vector too, which downstream cosine computation treats
+    as similarity 0 to everything.
     """
 
     kind = "file-vectors"
@@ -177,7 +172,7 @@ class FileVectors(_TokenVectors):
     def __init__(self, path):
         self.path = str(path)
         self._rows = {}
-        vectors = []
+        values = array("d")  # every row's entries, flat
         dim = None
         # Bytes that are not UTF-8 decode to lone surrogates, which the check below finds by line.
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -196,33 +191,32 @@ class FileVectors(_TokenVectors):
                     )
                 token = parts[0]
                 try:
-                    vector = np.array([float(x) for x in parts[1:]])
+                    row = [float(x) for x in parts[1:]]
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric vector entry") from None
-                if not np.all(np.isfinite(vector)):
+                if not all(map(math.isfinite, row)):
                     raise ValueError(f"{path}:{lineno}: non-finite vector entry")
                 if dim is None:
-                    dim = vector.size
-                elif vector.size != dim:
+                    dim = len(row)
+                elif len(row) != dim:
                     raise ValueError(
-                        f"{path}:{lineno}: dimension {vector.size} differs from {dim}"
+                        f"{path}:{lineno}: dimension {len(row)} differs from {dim}"
                     )
                 if token in self._rows:
                     raise ValueError(f"{path}:{lineno}: duplicate token {token!r}")
-                self._rows[token] = len(vectors)
-                vectors.append(vector)
+                self._rows[token] = len(self._rows)
+                values.extend(row)
         if dim is None:
             raise ValueError(f"{path}: no vectors found")
-        self.dim = int(dim)
+        self.dim = dim
         # The last row is the zero vector of every out-of-vocabulary token.
-        self._oov_row = len(vectors)
-        self._table = np.vstack([*vectors, np.zeros(self.dim)])
+        self._oov_row = len(self._rows)
+        values.extend(repeat(0.0, dim))
+        self._table = _unit_rows(np.frombuffer(values).reshape(-1, dim))
         self._table.flags.writeable = False
-        self._unit = _unit_rows(self._table)
-        self._unit.flags.writeable = False
 
     def embed(self, token: str) -> np.ndarray:
-        """The token's vector, a read-only view of its table row (the zero row out of vocabulary)."""
+        """The token's unit vector, a read-only view of its table row (the zero row out of vocabulary)."""
         return self._table[self._rows.get(token, self._oov_row)]
 
     def _unknown_row(self, token: str) -> int:
@@ -285,20 +279,19 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
     return vectors * np.divide(1.0, norms, out=norms)[:, None]
 
 
-def _embedded_rows(provider, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The tokens' vectors and the same rows at unit norm (:func:`_unit_rows`).
+def _embedded_rows(provider, tokens: list[str]) -> np.ndarray:
+    """The tokens' vectors at unit norm (:func:`_unit_rows`), one row per token.
 
-    A provider of this module gathers both from its tables, whose rows are
-    finite and normalized when stored. Any other provider's ``embed_tokens``
-    rows are checked finite and normalized on the call.
+    A provider of this module stores its rows finite and normalized, so its
+    ``embed_tokens`` rows are returned as they are. Any other provider's rows
+    are checked finite and normalized on the call.
     """
-    if isinstance(provider, _TokenVectors):
-        index = provider._index(tokens)  # before the tables are read: a new token can reallocate them
-        return provider._table.take(index, axis=0), provider._unit.take(index, axis=0)
     vectors = provider.embed_tokens(tokens)
+    if isinstance(provider, _TokenVectors):
+        return vectors
     if not np.isfinite(vectors).all():
         raise ValueError("embedding entries must be finite")
-    return vectors, _unit_rows(vectors)
+    return _unit_rows(vectors)
 
 
 @dataclass(frozen=True)
@@ -307,7 +300,9 @@ class PairEmbedding:
 
     The question's m rows come first; snippet i's rows start ``knowledge_starts[i]``
     rows after them, in candidate order. Starts are stored as a tuple of ints.
-    ``unit`` holds the same rows at unit norm (:func:`_unit_rows`).
+    The constructor checks its arguments, then stores ``vectors`` at unit
+    norm (:func:`_unit_rows`, in a new array), so the pair's rows are unit
+    rows however they were passed.
     """
 
     vectors: np.ndarray
@@ -325,17 +320,14 @@ class PairEmbedding:
             raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
         if not np.isfinite(self.vectors).all():
             raise ValueError("embedding entries must be finite")
+        object.__setattr__(self, "vectors", _unit_rows(self.vectors))
 
     @classmethod
-    def _trusted(cls, vectors: np.ndarray, m: int, knowledge_starts: tuple[int, ...], unit: np.ndarray):
-        """A pair whose fields the caller has already made valid, built without the constructor's checks."""
+    def _trusted(cls, unit: np.ndarray, m: int, knowledge_starts: tuple[int, ...]):
+        """A pair of unit rows whose fields the caller has already made valid, built without the constructor's checks."""
         pair = object.__new__(cls)
-        vars(pair).update(vectors=vectors, m=m, knowledge_starts=knowledge_starts, unit=unit)
+        vars(pair).update(vectors=unit, m=m, knowledge_starts=knowledge_starts)
         return pair
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        return _unit_rows(self.vectors)
 
     @property
     def p(self) -> int:
@@ -376,11 +368,11 @@ def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) 
     """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call.
 
     The constructor's checks are not run again: ``_pair_tokens`` bounds m and
-    the widths and builds the starts, and ``_embedded_rows`` the finiteness.
+    the widths and builds the starts, and ``_embedded_rows`` the finiteness
+    and the unit norms.
     """
     tokens, m, starts = _pair_tokens(question, candidates)
-    vectors, unit = _embedded_rows(provider, tokens)
-    return PairEmbedding._trusted(vectors, m, starts, unit)
+    return PairEmbedding._trusted(_embedded_rows(provider, tokens), m, starts)
 
 
 @dataclass(frozen=True)

@@ -108,11 +108,11 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    Reads the pair's unit-norm rows (:func:`~kgdial.embedding._unit_rows`):
+    The pair's rows are at unit norm (:func:`~kgdial.embedding._unit_rows`):
     a row of norm < 1e-12 gives entries of 0, and a row whose squared norm
     overflows keeps its cosines.
     """
-    unit = pair.unit
+    unit = pair.vectors
     return unit[: pair.m] @ unit[pair.m :].T
 
 
@@ -285,11 +285,6 @@ def _shifted_scores(features: np.ndarray, mask: np.ndarray, weights) -> tuple[np
     return shifted, np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _mean_loss(features: np.ndarray, mask: np.ndarray, golden: np.ndarray, weights) -> float:
-    """Mean cross-entropy log Z - s_golden over a padded batch."""
-    return _cross_entropy(*_shifted_scores(features, mask, weights), golden)
-
-
 def _cross_entropy(shifted: np.ndarray, log_z: np.ndarray, golden: np.ndarray) -> float:
     """Mean of log Z - s_golden given :func:`_shifted_scores`' results.
 
@@ -373,7 +368,7 @@ def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionI
     concatenated columns, so each mean over m and each candidate's sum is
     the one a request computes.
     """
-    _, unit = _embedded_rows(provider, list(chain.from_iterable(tokens for tokens, *_ in chunk)))
+    unit = _embedded_rows(provider, list(chain.from_iterable(tokens for tokens, *_ in chunk)))
     groups: dict[int, list] = {}
     first = 0
     for index, (tokens, m, starts, _) in enumerate(chunk):

@@ -6,6 +6,7 @@ package so it can serve as a reference implementation.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import zlib
@@ -58,6 +59,37 @@ class EmbedTokensOnly:
 
     def embed_tokens(self, tokens):
         return self.base.embed_tokens(tokens)
+
+
+class RawVectors:
+    """The raw oracle: a provider's vectors as drawn or read, before the provider normalizes them.
+
+    Built from the provider's ``describe()``. A hashed-Gaussian token's vector
+    is ``default_rng`` seeded by the blake2b digest of (seed, token), drawn with
+    ``standard_normal(dim)``; a vectors file's is a ``float()`` parse of the
+    token's line, and the zero vector out of vocabulary.
+    """
+
+    def __init__(self, provider):
+        description = provider.describe()
+        self.dim = description["dim"]
+        self.seed = description.get("seed")
+        self.lines = {}
+        if "path" in description:
+            with open(description["path"], encoding="utf-8") as handle:
+                for line in handle:
+                    if line.strip():
+                        token, *entries = line.split()
+                        self.lines[token] = np.array([float(x) for x in entries])
+
+    def embed(self, token):
+        if self.seed is None:
+            return self.lines.get(token, np.zeros(self.dim))
+        key = hashlib.blake2b(self.seed.to_bytes(8, "big", signed=True) + token.encode("utf-8"), digest_size=16)
+        return np.random.default_rng(int.from_bytes(key.digest(), "big")).standard_normal(self.dim)
+
+    def embed_tokens(self, tokens):
+        return np.array([self.embed(t) for t in tokens]).reshape(len(tokens), self.dim)
 
 
 def naive_cosine(a, b) -> float:

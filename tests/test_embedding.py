@@ -15,6 +15,7 @@ from kgdial.embedding import (
     HashedGaussianVectors,
     PairEmbedding,
     _embedded_rows,
+    _pair_tokens,
     _unit_rows,
     build_vocabulary,
     embed_pair,
@@ -24,7 +25,7 @@ from kgdial.embedding import (
     tokenize_batch,
 )
 
-from helpers import oracle_tfidf_scores
+from helpers import RawVectors, oracle_tfidf_scores
 
 
 def snippet(doc_id, title, body=""):
@@ -156,12 +157,15 @@ class TestHashedGaussianVectors:
 
 
 class TestUnitTable:
-    """Each provider's stored unit rows equal ``_unit_rows`` of its vectors, bit for bit."""
+    """Each provider's stored rows equal ``_unit_rows`` of its raw vectors (the ``RawVectors`` oracle), bit for bit."""
 
     def check(self, provider, tokens):
-        vectors, unit = _embedded_rows(provider, tokens)
-        assert vectors.tobytes() == provider.embed_tokens(tokens).tobytes()
-        assert unit.tobytes() == _unit_rows(provider.embed_tokens(tokens)).tobytes()
+        raw = RawVectors(provider)
+        unit = _embedded_rows(provider, tokens)
+        assert unit.tobytes() == provider.embed_tokens(tokens).tobytes()
+        assert unit.tobytes() == _unit_rows(raw.embed_tokens(tokens)).tobytes()
+        for token in tokens:
+            assert provider.embed(token).tobytes() == _unit_rows(raw.embed(token)[None])[0].tobytes()
 
     def test_hashed_rows_drawn_by_interleaved_embed_and_embed_tokens_calls(self):
         provider = HashedGaussianVectors(seed=7, dim=32)
@@ -170,7 +174,7 @@ class TestUnitTable:
             provider.embed(tokens[first])
             # The next eight are new to embed_tokens; every fifth token before them is stored.
             self.check(provider, tokens[first : first + 9] + tokens[:first:5])
-        assert len(provider._rows) == 200 and len(provider._unit) > 64
+        assert len(provider._rows) == 200 and len(provider._table) > 64
         self.check(provider, tokens)
 
     def test_file_vectors_zero_tiny_overflowing_and_out_of_vocabulary_rows(self, tmp_path):
@@ -182,7 +186,7 @@ class TestUnitTable:
             provider = FileVectors(path)
         tokens = ["zero", "tiny", "under", "big", "plain", "oov", "big"]
         self.check(provider, tokens)
-        unit = _embedded_rows(provider, tokens)[1]
+        unit = _embedded_rows(provider, tokens)
         assert not unit[[0, 1, 2, 5]].any()
         np.testing.assert_allclose(np.linalg.norm(unit[[3, 4]], axis=1), 1.0, rtol=1e-15)
 
@@ -197,7 +201,11 @@ class TestFileVectors:
         path = self.write(tmp_path, "cat 1.0 0.0\ndog 0.0 2.5\n")
         provider = FileVectors(path)
         assert provider.dim == 2
-        np.testing.assert_array_equal(provider.embed("dog"), [0.0, 2.5])
+        raw = RawVectors(provider).embed("dog")
+        np.testing.assert_array_equal(raw, [0.0, 2.5])
+        # Rows are stored, and returned, at unit norm.
+        assert provider.embed("dog").tobytes() == _unit_rows(raw[None])[0].tobytes()
+        np.testing.assert_array_equal(provider.embed("dog"), [0.0, 1.0])
 
     def test_oov_is_zero_vector(self, tmp_path):
         provider = FileVectors(self.write(tmp_path, "cat 1.0 0.0\n"))
@@ -351,17 +359,20 @@ class TestEmbedPair:
 
     def test_gathers_all_rows_in_one_embed_tokens_call(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
+        raw = RawVectors(provider)
         calls = []
 
         class Counting:
             def embed_tokens(self, tokens):
                 calls.append(list(tokens))
-                return provider.embed_tokens(tokens)
+                return raw.embed_tokens(tokens)
 
         pair = embed_pair(Counting(), "x y", [snippet("0", "a b c"), snippet("1", "d")])
         assert calls == [["x", "y", "a", "b", "c", "d"]]
         assert pair.m == 2 and pair.knowledge_starts == (0, 3)
-        np.testing.assert_array_equal(pair.vectors, provider.embed_tokens(calls[0]))
+        # Raw rows are normalized on the call, to the provider's own stored rows.
+        assert pair.vectors.tobytes() == _unit_rows(raw.embed_tokens(calls[0])).tobytes()
+        assert pair.vectors.tobytes() == provider.embed_tokens(calls[0]).tobytes()
 
     def test_stacks_candidates_with_segment_starts(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
@@ -402,13 +413,15 @@ class TestEmbedPair:
 
         provider = case.draw(st.sampled_from(pair_providers))
         candidates = [snippet(str(i), text(), text()) for i in range(case.draw(st.integers(1, 6)))]
-        pair = embed_pair(provider, text(), candidates)
+        question = text()
+        pair = embed_pair(provider, question, candidates)
         assert type(pair.m) is int and type(pair.knowledge_starts) is tuple
         assert all(type(start) is int for start in pair.knowledge_starts)
-        public = PairEmbedding(pair.vectors, pair.m, pair.knowledge_starts)
+        # The public constructor, given the raw rows of the same tokens, normalizes them to the pair's rows.
+        raw = RawVectors(provider).embed_tokens(_pair_tokens(question, candidates)[0])
+        public = PairEmbedding(raw, pair.m, pair.knowledge_starts)
         assert (public.m, public.knowledge_starts) == (pair.m, pair.knowledge_starts)
-        assert public.vectors is pair.vectors
-        assert public.unit.tobytes() == pair.unit.tobytes()
+        assert public.vectors.tobytes() == pair.vectors.tobytes()
 
     def test_empty_and_overlong_segments_rejected(self):
         with pytest.raises(ValueError, match="p >= 1 per snippet"):

@@ -47,13 +47,14 @@ from kgdial.selector import (
     train_selector,
     translation_matrix,
     _batch,
-    _mean_loss,
+    _cross_entropy,
     _shifted_scores,
 )
 
 from helpers import (
     EmbedTokensOnly,
     FixedProvider,
+    RawVectors,
     ScaledProvider,
     as_array,
     finite_difference_gradient,
@@ -148,14 +149,15 @@ class TestTranslationMatrix:
 
     @pytest.mark.parametrize("knowledge, cosine", [([1e200, 0.0], 1.0 / math.sqrt(2.0)), ([1.0, 1.0], 1.0)])
     def test_overflowing_norm_keeps_cosine(self, knowledge, cosine):
-        pair = PairEmbedding(np.array([[1e200, 1e200], knowledge]), 1)
-        before = pair.vectors.copy()
+        vectors = np.array([[1e200, 1e200], knowledge])
+        before = vectors.copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            pair = PairEmbedding(vectors, 1)
             matrix = translation_matrix(pair)
         assert abs(matrix[0, 0] - cosine) <= 1e-12
-        # The overflowing rows are rescaled in a copy: the pair is unchanged, and a second call agrees.
-        np.testing.assert_array_equal(pair.vectors, before)
+        # The overflowing rows are rescaled in a copy: the caller's array is unchanged, and a second call agrees.
+        np.testing.assert_array_equal(vectors, before)
         np.testing.assert_array_equal(translation_matrix(pair), matrix)
 
     @settings(deadline=None, max_examples=60)
@@ -588,7 +590,7 @@ class TestBatchCore:
             model = SelectorModel(bank11, weights, attention)
             features, mask = _batch(feature_list, attention)
             assert features.shape == (4, 8, 11)
-            loss = _mean_loss(features, mask, golden, weights)
+            loss = _cross_entropy(*_shifted_scores(features, mask, weights), golden)
             gradient = loss_gradient(features, model, golden, mask)
             expected_loss = sum(
                 selection_loss(readout(f, model), int(g)) for f, g in zip(feature_list, golden)
@@ -756,7 +758,7 @@ class TestSelectionInstances:
         path.write_text("w00 1e200 -3e199 5e199\nw02 0 0 0\nw04 1e-200 2e-200 -1e-200\n"
                         + "".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n" for j in range(6, 64, 2)))
         for provider in (provider7, FileVectors(path)):
-            fake = EmbedTokensOnly(provider)
+            fake = EmbedTokensOnly(RawVectors(provider))
             with mock.patch.object(selector, "CHUNK_ROWS", chunk_rows):
                 pairs = zip(selection_instances(corpus, provider, bank11), selection_instances(corpus, fake, bank11))
                 for table, gathered in pairs:
