@@ -30,6 +30,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,58 +285,33 @@ def _embedded_rows(provider, tokens: list[str]) -> np.ndarray:
 
     A provider of this module stores its rows finite and normalized, so its
     ``embed_tokens`` rows are returned as they are. Any other provider's rows
-    are checked finite and normalized on the call.
+    are read as a float array (int rows and nested lists alike; entries that
+    are not numbers raise ValueError), checked finite and normalized on the call.
     """
     vectors = provider.embed_tokens(tokens)
     if isinstance(provider, _TokenVectors):
         return vectors
+    vectors = np.asarray(vectors, dtype=float)
     if not np.isfinite(vectors).all():
         raise ValueError("embedding entries must be finite")
     return _unit_rows(vectors)
 
 
-@dataclass(frozen=True)
-class PairEmbedding:
+class PairEmbedding(NamedTuple):
     """Token-level embeddings of one question and l knowledge snippets, stacked in one (m + p) x d matrix.
 
     The question's m rows come first; snippet i's rows start ``knowledge_starts[i]``
-    rows after them, in candidate order. Starts are stored as a tuple of ints.
-    The constructor checks its arguments, then stores ``vectors`` at unit
-    norm (:func:`_unit_rows`, in a new array), so the pair's rows are unit
-    rows however they were passed.
+    rows after them, in candidate order. The rows are the provider's vectors
+    at unit norm (:func:`_unit_rows`), as :func:`embed_pair` gathers them.
     """
 
     vectors: np.ndarray
     m: int
-    knowledge_starts: tuple[int, ...] = (0,)
-
-    def __post_init__(self):
-        starts = tuple(map(operator.index, self.knowledge_starts))  # a float start raises TypeError
-        object.__setattr__(self, "knowledge_starts", starts)
-        m, d = self.m, self.dim
-        widths = list(map(operator.sub, (*starts[1:], self.p), starts))
-        if m < 1 or d < 2 or starts[:1] != (0,) or min(widths) < 1:
-            raise ValueError(f"need m >= 1, p >= 1 per snippet, d >= 2, got m={m}, p={widths}, d={d}")
-        if m > MAX_QUESTION_TOKENS or max(widths) > MAX_KNOWLEDGE_TOKENS:
-            raise ValueError(f"m <= {MAX_QUESTION_TOKENS} and p <= {MAX_KNOWLEDGE_TOKENS} per snippet required")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("embedding entries must be finite")
-        object.__setattr__(self, "vectors", _unit_rows(self.vectors))
-
-    @classmethod
-    def _trusted(cls, unit: np.ndarray, m: int, knowledge_starts: tuple[int, ...]):
-        """A pair of unit rows whose fields the caller has already made valid, built without the constructor's checks."""
-        pair = object.__new__(cls)
-        vars(pair).update(vectors=unit, m=m, knowledge_starts=knowledge_starts)
-        return pair
+    knowledge_starts: tuple[int, ...]
 
     @property
     def p(self) -> int:
         return self.vectors.shape[0] - self.m
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
 
 
 # A snippet's (title, body), read alike from a KnowledgeSnippet and from a stored row.
@@ -367,12 +343,12 @@ def _pair_tokens(question: str, candidates: Sequence[KnowledgeSnippet]) -> tuple
 def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) -> PairEmbedding:
     """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call.
 
-    The constructor's checks are not run again: ``_pair_tokens`` bounds m and
-    the widths and builds the starts, and ``_embedded_rows`` the finiteness
-    and the unit norms.
+    The only producer of a :class:`PairEmbedding`: ``_pair_tokens`` bounds m
+    and the widths and builds the starts, and ``_embedded_rows`` gives finite
+    unit rows.
     """
     tokens, m, starts = _pair_tokens(question, candidates)
-    return PairEmbedding._trusted(_embedded_rows(provider, tokens), m, starts)
+    return PairEmbedding(_embedded_rows(provider, tokens), m, starts)
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,10 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    The pair's rows are at unit norm (:func:`~kgdial.embedding._unit_rows`):
-    a row of norm < 1e-12 gives entries of 0, and a row whose squared norm
-    overflows keeps its cosines.
+    The one place a cosine product is taken: a request's pair and each
+    dialog of :func:`_chunk_instances` come through here. The pair's rows are
+    at unit norm (:func:`~kgdial.embedding._unit_rows`): a row of norm < 1e-12
+    gives entries of 0, and a row whose squared norm overflows keeps its cosines.
     """
     unit = pair.vectors
     return unit[: pair.m] @ unit[pair.m :].T
@@ -363,8 +364,9 @@ def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionI
     """Instances of (tokens, m, starts, golden index) dialogs: the request path's arithmetic, batched.
 
     One gather of unit-norm rows (:func:`~kgdial.embedding._embedded_rows`)
-    covers every row; each dialog gets its own m x p matmul, as on a request; then one
-    ``kernel_features`` call per question length m pools the dialogs'
+    covers every row; each dialog's slice of them is a :class:`PairEmbedding`
+    whose m x p matrix :func:`translation_matrix` takes, as on a request; then
+    one ``kernel_features`` call per question length m pools the dialogs'
     concatenated columns, so each mean over m and each candidate's sum is
     the one a request computes.
     """
@@ -373,7 +375,7 @@ def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionI
     first = 0
     for index, (tokens, m, starts, _) in enumerate(chunk):
         last = first + len(tokens)
-        matrix = unit[first : first + m] @ unit[first + m : last].T
+        matrix = translation_matrix(PairEmbedding(unit[first:last], m, starts))
         groups.setdefault(m, []).append((index, matrix, starts))
         first = last
     features = [None] * len(chunk)

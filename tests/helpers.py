@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -18,6 +19,21 @@ from kgdial.embedding import (
     MAX_QUESTION_TOKENS,
     tokenize,
 )
+
+
+def count_calls(monkeypatch, home, name) -> list:
+    """Record the positional arguments of each call of ``home.name`` through every kgdial module that binds it."""
+    original = getattr(home, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("kgdial") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 class FixedProvider:

@@ -25,22 +25,7 @@ from kgdial.selector import (
     save_selector,
 )
 
-from helpers import as_array, truncated, with_field, with_kernels, with_literal, without_field
-
-
-def count_calls(monkeypatch, home, name) -> list:
-    """Record the positional arguments of each call of ``home.name`` through every kgdial module that binds it."""
-    original = getattr(home, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("kgdial") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, counting)
-    return calls
+from helpers import as_array, count_calls, truncated, with_field, with_kernels, with_literal, without_field
 
 
 def run_cli_process(argv, **env) -> subprocess.CompletedProcess:

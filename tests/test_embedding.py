@@ -13,7 +13,6 @@ from kgdial.embedding import (
     MAX_KNOWLEDGE_TOKENS,
     FileVectors,
     HashedGaussianVectors,
-    PairEmbedding,
     _embedded_rows,
     _pair_tokens,
     _unit_rows,
@@ -25,7 +24,7 @@ from kgdial.embedding import (
     tokenize_batch,
 )
 
-from helpers import RawVectors, oracle_tfidf_scores
+from helpers import FixedProvider, RawVectors, oracle_tfidf_scores
 
 
 def snippet(doc_id, title, body=""):
@@ -339,24 +338,6 @@ class TestEmbedPair:
         pair = embed_pair(provider, "x", [snippet("0", "a b?")])
         assert pair.p == 2
 
-    def test_invalid_shapes_rejected(self):
-        with pytest.raises(ValueError, match="d=1$"):
-            PairEmbedding(np.ones((2, 1)), 1)
-        with pytest.raises(ValueError, match=r"p=\[0\]"):
-            PairEmbedding(np.ones((2, 2)), 2)
-        with pytest.raises(ValueError, match="m=0"):
-            PairEmbedding(np.ones((2, 2)), 0)
-        with pytest.raises(ValueError, match="finite"):
-            PairEmbedding(np.array([[1.0, 1.0], [np.nan, 0.0]]), 1)
-        with pytest.raises(TypeError, match="float"):
-            PairEmbedding(np.ones((4, 2)), 1, [0, 2.0])
-
-    @pytest.mark.parametrize("starts", [[0, 2], np.array([0, 2])], ids=["list", "ndarray"])
-    def test_starts_stored_as_a_tuple_of_ints(self, starts):
-        pair = PairEmbedding(np.ones((4, 2)), 1, starts)
-        assert pair.knowledge_starts == (0, 2) and type(pair.knowledge_starts) is tuple
-        assert all(type(start) is int for start in pair.knowledge_starts)
-
     def test_gathers_all_rows_in_one_embed_tokens_call(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
         raw = RawVectors(provider)
@@ -373,6 +354,31 @@ class TestEmbedPair:
         # Raw rows are normalized on the call, to the provider's own stored rows.
         assert pair.vectors.tobytes() == _unit_rows(raw.embed_tokens(calls[0])).tobytes()
         assert pair.vectors.tobytes() == provider.embed_tokens(calls[0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "convert", [lambda rows: rows.astype(np.int64), np.ndarray.tolist, lambda rows: rows.astype(np.int64).tolist()],
+        ids=["int", "list", "int-list"],
+    )
+    def test_int_and_list_rows_embed_as_floats(self, convert):
+        floats = FixedProvider({"x": [3, 0], "y": [0, 2], "a": [1, 1], "b": [-4, 3]})
+
+        class Converted:
+            def embed_tokens(self, tokens):
+                return convert(floats.embed_tokens(tokens))
+
+        items = [snippet("0", "a b oov"), snippet("1", "y")]
+        pair = embed_pair(Converted(), "x y", items)
+        assert pair.vectors.dtype == np.float64
+        assert pair.vectors.tobytes() == embed_pair(floats, "x y", items).vectors.tobytes()
+
+    @pytest.mark.parametrize("rows", [[["a", "b"], ["c", "d"]], [[1.0, 2.0], [1.0]]], ids=["strings", "ragged"])
+    def test_rows_that_are_not_numbers_rejected(self, rows):
+        class Returning:
+            def embed_tokens(self, tokens):
+                return rows
+
+        with pytest.raises(ValueError):
+            embed_pair(Returning(), "x", [snippet("0", "a")])
 
     def test_stacks_candidates_with_segment_starts(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
@@ -417,22 +423,9 @@ class TestEmbedPair:
         pair = embed_pair(provider, question, candidates)
         assert type(pair.m) is int and type(pair.knowledge_starts) is tuple
         assert all(type(start) is int for start in pair.knowledge_starts)
-        # The public constructor, given the raw rows of the same tokens, normalizes them to the pair's rows.
+        # The pair's rows are already unit rows: normalizing the raw rows of the same tokens gives them byte for byte.
         raw = RawVectors(provider).embed_tokens(_pair_tokens(question, candidates)[0])
-        public = PairEmbedding(raw, pair.m, pair.knowledge_starts)
-        assert (public.m, public.knowledge_starts) == (pair.m, pair.knowledge_starts)
-        assert public.vectors.tobytes() == pair.vectors.tobytes()
-
-    def test_empty_and_overlong_segments_rejected(self):
-        with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(np.ones((4, 2)), 1, (0, 2, 2))
-        with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(np.ones((4, 2)), 1, (0, 3))
-        with pytest.raises(ValueError, match="p >= 1 per snippet"):
-            PairEmbedding(np.ones((4, 2)), 1, (1,))
-        with pytest.raises(ValueError, match="p <= 128 per snippet"):
-            PairEmbedding(np.ones((131, 2)), 1, (0, 129))
-        assert PairEmbedding(np.ones((257, 2)), 1, (0, 128)).p == 256
+        assert pair.vectors.tobytes() == _unit_rows(raw).tobytes()
 
 
 def tfidf_row(candidates, question, vocab=None):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import selector
+from kgdial import embedding, selector
 from kgdial.corpus import (
     Corpus,
     DialogInstance,
@@ -19,9 +19,10 @@ from kgdial.corpus import (
     SnippetRef,
     Speaker,
     SynthParams,
+    labeled_candidates,
     synth_corpus,
 )
-from kgdial.embedding import MAX_KNOWLEDGE_TOKENS, FileVectors, HashedGaussianVectors, PairEmbedding, _unit_rows, embed_pair
+from kgdial.embedding import MAX_KNOWLEDGE_TOKENS, FileVectors, HashedGaussianVectors, _unit_rows, embed_pair
 from kgdial.fixtures import HOTEL_QUESTION, hotel_corpus
 from kgdial.selector import (
     EXACT_MU,
@@ -57,6 +58,7 @@ from helpers import (
     RawVectors,
     ScaledProvider,
     as_array,
+    count_calls,
     finite_difference_gradient,
     first_kernel_features,
     first_probability_rule,
@@ -149,16 +151,15 @@ class TestTranslationMatrix:
 
     @pytest.mark.parametrize("knowledge, cosine", [([1e200, 0.0], 1.0 / math.sqrt(2.0)), ([1.0, 1.0], 1.0)])
     def test_overflowing_norm_keeps_cosine(self, knowledge, cosine):
-        vectors = np.array([[1e200, 1e200], knowledge])
-        before = vectors.copy()
+        provider = FixedProvider({"q": [1e200, 1e200], "k": knowledge})
+        before = provider.embed_tokens(["q", "k"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pair = PairEmbedding(vectors, 1)
-            matrix = translation_matrix(pair)
+            matrix = translation_matrix(pair_of(provider, "q", "k"))
         assert abs(matrix[0, 0] - cosine) <= 1e-12
-        # The overflowing rows are rescaled in a copy: the caller's array is unchanged, and a second call agrees.
-        np.testing.assert_array_equal(vectors, before)
-        np.testing.assert_array_equal(translation_matrix(pair), matrix)
+        # The overflowing rows are rescaled in a copy: the provider's rows are unchanged, and a second call agrees.
+        np.testing.assert_array_equal(provider.embed_tokens(["q", "k"]), before)
+        np.testing.assert_array_equal(translation_matrix(pair_of(provider, "q", "k")), matrix)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -166,10 +167,16 @@ class TestTranslationMatrix:
         exponents=st.tuples(scale_exponents, scale_exponents),
     )
     def test_scaling_up_to_1e150_keeps_cosines(self, vectors, exponents):
-        question, knowledge = np.array(vectors[:1]), np.array(vectors[1:])
-        reference = translation_matrix(PairEmbedding(np.array(vectors), 1))
-        scaled = PairEmbedding(np.vstack((question * 10.0 ** exponents[0], knowledge * 10.0 ** exponents[1])), 1)
-        np.testing.assert_allclose(translation_matrix(scaled), reference, rtol=0, atol=1e-12)
+        # Token "q" embeds to the first vector, knowledge tokens "k1", "k2", ... to the others.
+        tokens = ["q"] + [f"k{i}" for i in range(1, len(vectors))]
+
+        def matrix(question_scale, knowledge_scale):
+            scales = [question_scale] + [knowledge_scale] * (len(vectors) - 1)
+            provider = FixedProvider({t: np.array(v) * c for t, v, c in zip(tokens, vectors, scales)})
+            return translation_matrix(pair_of(provider, "q", " ".join(tokens[1:])))
+
+        scaled = matrix(10.0 ** exponents[0], 10.0 ** exponents[1])
+        np.testing.assert_allclose(scaled, matrix(1.0, 1.0), rtol=0, atol=1e-12)
 
     def test_entries_bounded(self):
         provider = HashedGaussianVectors(seed=1, dim=6)
@@ -766,6 +773,16 @@ class TestSelectionInstances:
             for dialog, candidates in zip(corpus.dialogs[:20], corpus.snippets.values()):
                 expected = node_features(dialog.current_turn.text, candidates, fake, bank11)
                 assert node_features(dialog.current_turn.text, candidates, provider, bank11).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk_rows", [60, selector.CHUNK_ROWS])
+    def test_one_translation_matrix_call_per_dialog_and_no_embed_pair(self, monkeypatch, provider7, bank11, chunk_rows):
+        corpus = synth_corpus(801, SynthParams(n_dialogs=60, n_candidates=8))
+        products = count_calls(monkeypatch, selector, "translation_matrix")
+        pairs = count_calls(monkeypatch, embedding, "embed_pair")
+        monkeypatch.setattr(selector, "CHUNK_ROWS", chunk_rows)
+        instances = selection_instances(corpus, provider7, bank11)
+        assert len(products) == len(instances) == len(list(labeled_candidates(corpus)))
+        assert pairs == []
 
     def test_non_finite_embedding_rejected(self, bank11):
         corpus = hotel_corpus()
