@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CorpusError, ValueError, IndexError, OSError) as exc:
+    except (CorpusError, ValueError, IndexError, OSError, Warning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, KnowledgeSnippet, _rows
+from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, _rows
 
 # Sentinel emitted for text with no alphanumeric content, so every text
 # embeds to at least one row.
@@ -90,21 +90,29 @@ def tokenize_batch(texts: list[str]) -> Iterator[list[str]]:
 
 
 class _TokenVectors:
-    """Base of the providers: a (rows, dim) table of unit-norm token vectors and a token -> row dict."""
+    """Base of the providers: a (rows, dim) table of unit-norm token vectors and a token -> row dict.
+
+    A row number never changes once given: :class:`HashedGaussianVectors`
+    only appends rows (a reallocation of the table copies them in place), and
+    :class:`FileVectors` is fixed at load. So row numbers can be kept across
+    calls, as :func:`embed_pair`'s knowledge index keeps them; the table
+    itself is read afresh on each gather.
+    """
 
     _table: np.ndarray  # each row at unit norm, by _unit_rows
     _rows: dict[str, int]
 
-    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
-        """len(tokens) x dim matrix of the tokens' unit vectors, gathered from the table in one take (0 x dim for none).
-
-        Rows are found by dict lookups; only a token without a row goes through ``_unknown_row``.
-        """
+    def _token_rows(self, tokens: list[str]) -> np.ndarray:
+        """The tokens' table row numbers, an int array; only a token without a row goes through ``_unknown_row``."""
         rows = self._rows
         try:
-            index = np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+            return np.fromiter(map(rows.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         except KeyError:
-            index = [rows[t] if t in rows else self._unknown_row(t) for t in tokens]
+            return np.array([rows[t] if t in rows else self._unknown_row(t) for t in tokens], dtype=np.intp)
+
+    def embed_tokens(self, tokens: list[str]) -> np.ndarray:
+        """len(tokens) x dim matrix of the tokens' unit vectors, gathered from the table in one take (0 x dim for none)."""
+        index = self._token_rows(tokens)
         # Read the table only now: storing a new token can reallocate it.
         return self._table.take(index, axis=0)
 
@@ -291,7 +299,10 @@ def _embedded_rows(provider, tokens: list[str]) -> np.ndarray:
     vectors = provider.embed_tokens(tokens)
     if isinstance(provider, _TokenVectors):
         return vectors
-    vectors = np.asarray(vectors, dtype=float)
+    vectors = np.asarray(vectors)  # ragged rows raise ValueError here
+    if vectors.dtype.kind not in "biuf":
+        raise ValueError(f"embedding entries must be numbers, got dtype {vectors.dtype}")
+    vectors = vectors.astype(float, copy=False)
     if not np.isfinite(vectors).all():
         raise ValueError("embedding entries must be finite")
     return _unit_rows(vectors)
@@ -346,7 +357,26 @@ def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) 
     The only producer of a :class:`PairEmbedding`: ``_pair_tokens`` bounds m
     and the widths and builds the starts, and ``_embedded_rows`` gives finite
     unit rows.
+
+    For an :class:`~kgdial.corpus.EntitySnippets` and a provider of this
+    module, the snippets' row numbers are kept in the entity's knowledge
+    index (one int array, ≈2 KB for 64 synth snippets, for as long as the
+    corpus lives). The first call, or a call with another provider, does the
+    work above and stores the index; a later call with the same provider
+    tokenizes and looks up only the question and gathers its rows and the
+    stored ones in one take. Both give the same rows in the same order.
     """
+    if type(candidates) is EntitySnippets and isinstance(provider, _TokenVectors):
+        # Both paths read the table after their lookup: storing a new token can reallocate it.
+        index = candidates.knowledge_index
+        if index is not None and index[0] is provider:
+            q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
+            rows = np.concatenate((provider._token_rows(q_tokens), index[1]))
+            return PairEmbedding(provider._table.take(rows, axis=0), len(q_tokens), index[2])
+        tokens, m, starts = _pair_tokens(question, candidates)
+        rows = provider._token_rows(tokens)
+        candidates.knowledge_index = (provider, rows[m:], starts)
+        return PairEmbedding(provider._table.take(rows, axis=0), m, starts)
     tokens, m, starts = _pair_tokens(question, candidates)
     return PairEmbedding(_embedded_rows(provider, tokens), m, starts)
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,22 @@ class TestPipelineCommand:
 
 
 class TestErrorHandling:
+    def test_warning_raised_as_error_reports_single_line_error(self, tmp_path, capsys):
+        # Scores of this corpus under these vectors tie with a golden score, which evaluation warns of.
+        assert main(["synth", "--out", str(tmp_path), "--seed", "8001", "--dialogs", "100", "--candidates", "8"]) == 0
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n" for j in range(0, 64, 2)))
+        files = [f"--{name}={tmp_path / name}.json" for name in ("knowledge", "logs", "labels")]
+        model = tmp_path / "s.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "select", *files, "--model", str(model), "--vectors", str(vectors)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: selector evaluation: ") and "tied with a golden score" in err
+        assert err.count("\n") == 1
+        assert not model.exists()
+
     def test_missing_file_reports_single_line_error(self, capsys):
         assert main(["eval", "--knowledge", "/nonexistent/k.json",
                      "--logs", "/nonexistent/l.json", "--labels", "/nonexistent/lb.json",

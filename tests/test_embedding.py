@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, KnowledgeSnippet, rank_order
+from kgdial import embedding
+from kgdial.corpus import Corpus, EntitySnippets, KnowledgeSnippet, rank_order
 from kgdial.embedding import (
     _TOKEN_RE,
     EMPTY_TOKEN,
@@ -24,7 +25,7 @@ from kgdial.embedding import (
     tokenize_batch,
 )
 
-from helpers import FixedProvider, RawVectors, oracle_tfidf_scores
+from helpers import FixedProvider, RawVectors, count_calls, oracle_tfidf_scores
 
 
 def snippet(doc_id, title, body=""):
@@ -371,14 +372,20 @@ class TestEmbedPair:
         assert pair.vectors.dtype == np.float64
         assert pair.vectors.tobytes() == embed_pair(floats, "x y", items).vectors.tobytes()
 
-    @pytest.mark.parametrize("rows", [[["a", "b"], ["c", "d"]], [[1.0, 2.0], [1.0]]], ids=["strings", "ragged"])
+    @pytest.mark.parametrize("rows", [
+        [["a", "b"], ["c", "d"]], [["1", "2"], ["3", "4"]], [[None, 1.0], [1.0, 2.0]],
+        [[1 + 2j, 1.0], [1.0, 2.0]], [[{}, 1.0], [1.0, 2.0]], [[1.0, 2.0], [1.0]],
+    ], ids=["strings", "numeric-strings", "none", "complex", "dict", "ragged"])
     def test_rows_that_are_not_numbers_rejected(self, rows):
         class Returning:
             def embed_tokens(self, tokens):
                 return rows
 
-        with pytest.raises(ValueError):
-            embed_pair(Returning(), "x", [snippet("0", "a")])
+        # Rejected before any cast: a complex row would warn and drop its imaginary part.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                embed_pair(Returning(), "x", [snippet("0", "a")])
 
     def test_stacks_candidates_with_segment_starts(self):
         provider = HashedGaussianVectors(seed=7, dim=4)
@@ -426,6 +433,137 @@ class TestEmbedPair:
         # The pair's rows are already unit rows: normalizing the raw rows of the same tokens gives them byte for byte.
         raw = RawVectors(provider).embed_tokens(_pair_tokens(question, candidates)[0])
         assert pair.vectors.tobytes() == _unit_rows(raw).tobytes()
+
+
+def same_pair(a, b) -> bool:
+    """Whether two pairs hold the same rows, bit for bit, and the same m and starts."""
+    return a.vectors.tobytes() == b.vectors.tobytes() and a.m == b.m and a.knowledge_starts == b.knowledge_starts
+
+
+class TestKnowledgeIndex:
+    """An entity's knowledge index gives the pair that embedding its snippets afresh gives."""
+
+    # Both tokenizer paths, NUL (which splits a batch), and, for FileVectors, tokens out of its vocabulary.
+    WORDS = ["parking", "Free", "w01", "Ünï", "\u212aelvin", "x_y", "A-B", "nul\x00byte", "oov", "café"]
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=st.data())
+    @example(case=None)
+    def test_cold_then_warm_equals_a_fresh_list(self, pair_providers, case):
+        def text():
+            n = case.draw(st.one_of(st.integers(0, 4), st.integers(60, 140)))  # across the 64 and 128 cuts
+            return " ".join(case.draw(st.lists(st.sampled_from(self.WORDS + ["?!"]), min_size=n, max_size=n)))
+
+        if case is None:  # a candidate holding NUL beside a long non-ASCII one
+            questions = ["nul\x00byte parking?", "Ünï w01"]
+            items = [snippet("0", "nul\x00byte", "w01 free"), snippet("1", "Ünï " * 130, "x")]
+            providers = pair_providers
+        else:
+            questions = [text(), text()]
+            items = [snippet(str(i), text(), text()) for i in range(case.draw(st.integers(1, 6)))]
+            providers = [case.draw(st.sampled_from(pair_providers))]
+        for provider in providers:
+            entity = EntitySnippets(items)
+            for question in questions:  # the first call stores the index, the second reads it
+                assert same_pair(embed_pair(provider, question, entity), embed_pair(provider, question, list(items)))
+                assert entity.knowledge_index[0] is provider
+
+    def test_warm_request_tokenizes_only_its_question(self, monkeypatch):
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        entity = EntitySnippets([snippet("0", "a b c"), snippet("1", "d")])
+        embed_pair(provider, "x", entity)
+        index = entity.knowledge_index
+        batches = count_calls(monkeypatch, embedding, "tokenize_batch")
+        texts = count_calls(monkeypatch, embedding, "tokenize")
+        pair = embed_pair(provider, "x y", entity)
+        assert batches == [] and texts == [("x y",)]
+        assert entity.knowledge_index is index
+        assert same_pair(pair, embed_pair(provider, "x y", list(entity)))
+
+    def test_another_provider_rebuilds_the_index(self):
+        first = HashedGaussianVectors(seed=7, dim=4)
+        second = HashedGaussianVectors(seed=8, dim=4)
+        second.embed_tokens(["z", "y", "x", "w"])  # the same tokens get other row numbers in each table
+        items = [snippet("0", "a b c"), snippet("1", "d")]
+        entity = EntitySnippets(items)
+        for provider in (first, second, first):
+            pair = embed_pair(provider, "x", entity)
+            assert same_pair(pair, embed_pair(provider, "x", list(items)))
+            stored, rows, starts = entity.knowledge_index
+            assert stored is provider and starts == pair.knowledge_starts
+            np.testing.assert_array_equal(rows, provider._token_rows(["a", "b", "c", "d"]))
+        assert not np.array_equal(first._token_rows(["a", "d"]), second._token_rows(["a", "d"]))
+
+    def test_stored_rows_survive_the_table_growing(self):
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        items = [snippet("0", "a b c"), snippet("1", "d")]
+        entity = EntitySnippets(items)
+        embed_pair(provider, "x", entity)
+        table = provider._table
+        provider.embed_tokens([f"new{i}" for i in range(100)])  # past the 64 rows the table starts with
+        assert len(provider._table) > 64 and provider._table is not table
+        index = entity.knowledge_index
+        # The question's 30 new tokens take the table past 128 rows within the request, before its gather.
+        question = " ".join(["x", "new99"] + [f"late{i}" for i in range(30)])
+        grown = len(provider._table)
+        pair = embed_pair(provider, question, entity)
+        assert entity.knowledge_index is index and len(provider._table) > grown
+        assert same_pair(pair, embed_pair(provider, question, list(items)))
+
+    def test_embed_called_once_per_new_token(self, monkeypatch):
+        calls = []
+        original = HashedGaussianVectors.embed
+
+        def counting(provider, token):
+            calls.append(token)
+            return original(provider, token)
+
+        monkeypatch.setattr(HashedGaussianVectors, "embed", counting)
+        provider = HashedGaussianVectors(seed=7, dim=4)
+        entity = EntitySnippets([snippet("0", "a b a"), snippet("1", "c x")])
+        expected = [["x", "a", "b", "c"], ["y"], []]  # cold, then warm with a new question token, then warm
+        for question, new in zip(["x", "x y", "y x"], expected):
+            calls.clear()
+            embed_pair(provider, question, entity)
+            assert calls == new
+
+    def test_a_request_reads_the_index_once(self):
+        # Another request (another thread, say) re-indexes the entity for its own provider while a warm
+        # request looks up its question; the warm request still gathers its own provider's rows.
+        items = [snippet("0", "a b c"), snippet("1", "d")]
+        entity = EntitySnippets(items)
+        other = HashedGaussianVectors(seed=8, dim=4)
+        other.embed_tokens(["z", "y", "x"])  # the same tokens get other row numbers in its table
+
+        class Interleaved(HashedGaussianVectors):
+            def _token_rows(self, tokens):
+                rows = super()._token_rows(tokens)
+                if tokens == ["q"]:
+                    embed_pair(other, "x", entity)
+                return rows
+
+        provider = Interleaved(seed=7, dim=4)
+        embed_pair(provider, "x", entity)
+        pair = embed_pair(provider, "q", entity)
+        assert entity.knowledge_index[0] is other
+        assert same_pair(pair, embed_pair(provider, "q", list(items)))
+
+    def test_only_entity_snippets_with_a_module_provider_keep_an_index(self):
+        items = [snippet("0", "a b")]
+        entity = EntitySnippets(items)
+        fixed = FixedProvider({"a": [1.0, 0.0], "x": [0.0, 1.0]})
+        assert same_pair(embed_pair(fixed, "x", entity), embed_pair(fixed, "x", items))
+        assert entity.knowledge_index is None
+
+    def test_equality_repr_and_slicing_ignore_the_index(self):
+        items = [snippet("0", "a b"), snippet("1", "c"), snippet("2", "d")]
+        entity = EntitySnippets(items)
+        embed_pair(HashedGaussianVectors(seed=7, dim=4), "x", entity)
+        fresh = EntitySnippets(items)
+        assert entity.knowledge_index is not None and fresh.knowledge_index is None
+        assert entity == fresh and entity == items and repr(entity) == repr(fresh)
+        part = entity[1:]
+        assert part == items[1:] and part.knowledge_index is None
 
 
 def tfidf_row(candidates, question, vocab=None):
