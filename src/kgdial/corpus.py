@@ -14,8 +14,9 @@ and optional per-dialog labels. All three files are UTF-8 JSON:
 
 Dialog ids are positional (``d0000``, ``d0001``, ...) and are regenerated on
 load. Loaded corpora are immutable by convention and safe for concurrent
-reads; the one thing a read writes is an entity's knowledge index (see
-:class:`EntitySnippets`), which is replaced whole, by one attribute store.
+reads; the one thing a read (a request, a training or an evaluation pass)
+writes is an entity's knowledge index (see :class:`EntitySnippets`), which
+is replaced whole, by one attribute store.
 
 Each entity's documents are stored as one :class:`EntitySnippets`: a single
 tuple of plain ``(domain, entity_id, doc_id, title, body)`` rows. The cyclic
@@ -23,8 +24,8 @@ garbage collector stops tracking a plain tuple of strings at the first pass
 that reaches it, and a tuple of such tuples by the next, so a loaded
 knowledge base costs it one object per entity, not one per document (two once
 the entity's knowledge index holds its provider). A :class:`KnowledgeSnippet` is built only where one is asked for,
-by indexing or iterating; the hot paths (request featurizing, TF-IDF, golden
-lookup, writing) read the rows and build none.
+by indexing or iterating; the hot paths (featurizing, TF-IDF, golden lookup,
+writing) read the rows and build none.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ class EntitySnippets(Sequence):
     first embeds these snippets with a provider of that module; it then holds
     ``(provider, rows, starts)``: the provider, the table row of every snippet
     token after truncation (an int array, 8 B a token, ≈2 KB for 64 synth
-    snippets) and each snippet's first token. A later request with the same
-    provider tokenizes only its question. Equality, ``repr`` and slicing
-    ignore it; a slice starts with none.
+    snippets) and each snippet's first token. A later request, training or
+    evaluation pass with the same provider tokenizes only its question.
+    Equality, ``repr`` and slicing ignore it; a slice starts with none.
     """
 
     __slots__ = ("rows", "knowledge_index")

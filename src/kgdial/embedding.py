@@ -362,9 +362,9 @@ def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) 
     module, the snippets' row numbers are kept in the entity's knowledge
     index (one int array, ≈2 KB for 64 synth snippets, for as long as the
     corpus lives). The first call, or a call with another provider, does the
-    work above and stores the index; a later call with the same provider
-    tokenizes and looks up only the question and gathers its rows and the
-    stored ones in one take. Both give the same rows in the same order.
+    work above and stores the index; a later call with the same provider (a
+    request, a training or an evaluation pass) tokenizes and looks up only the
+    question and gathers its rows and the stored ones in one take; both give the same rows.
     """
     if type(candidates) is EntitySnippets and isinstance(provider, _TokenVectors):
         # Both paths read the table after their lookup: storing a new token can reallocate it.

@@ -17,13 +17,12 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, SnippetRef, _load, _number_array, _write_json, labeled_candidates, rank_order
 from .descent import _descend, _scored_once, check_schedule
-from .embedding import PairEmbedding, _embedded_rows, _pair_tokens, embed_pair, provider_from_description
+from .embedding import PairEmbedding, embed_pair, provider_from_description
 
 # Floor applied to summed kernel responses before the log.
 KERNEL_EPS = 1e-10
@@ -45,10 +44,6 @@ MAX_KERNELS = 64
 # averages features. So a score is at most -ln KERNEL_EPS * sum_k |w_k| in magnitude, and two
 # candidates' scores differ by at most SCORE_SPREAD * sum_k |w_k|.
 SCORE_SPREAD = -2.0 * math.log(KERNEL_EPS)
-
-# Embedding rows featurized together by selection_instances: bounds its memory
-# (about 1.8 MB per call on 8- and 64-candidate corpora) whatever the corpus size.
-CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -108,10 +103,10 @@ def default_kernel_bank(n_kernels: int) -> KernelBank:
 def translation_matrix(pair: PairEmbedding) -> np.ndarray:
     """m x p cosine similarities between the pair's question rows and its (stacked) knowledge rows.
 
-    The one place a cosine product is taken: a request's pair and each
-    dialog of :func:`_chunk_instances` come through here. The pair's rows are
-    at unit norm (:func:`~kgdial.embedding._unit_rows`): a row of norm < 1e-12
-    gives entries of 0, and a row whose squared norm overflows keeps its cosines.
+    The one place a cosine product is taken: every pair of :func:`node_features`
+    comes through here. The pair's rows are at unit norm
+    (:func:`~kgdial.embedding._unit_rows`): a row of norm < 1e-12 gives
+    entries of 0, and a row whose squared norm overflows keeps its cosines.
     """
     unit = pair.vectors
     return unit[: pair.m] @ unit[pair.m :].T
@@ -341,53 +336,16 @@ class SelectionInstance:
 
 
 def selection_instances(corpus: Corpus, provider, bank: KernelBank) -> list[SelectionInstance]:
-    """Features for every labeled knowledge-seeking dialog, in corpus order.
+    """Features for every labeled knowledge-seeking dialog, in corpus order: :func:`node_features` of each.
 
     Candidates come from the golden reference's entity; the golden index is
-    its position in the entity's stored snippet order. Dialogs are
-    featurized in chunks of about ``CHUNK_ROWS`` embedding rows (see
-    :func:`_chunk_instances`); each row equals :func:`node_features` of its
-    dialog.
+    its position in the entity's stored snippet order. Each dialog takes the
+    request path, so a pass fills each entity's knowledge index (see
+    :func:`~kgdial.embedding.embed_pair`) and a later pass, or a request, on
+    the same corpus and provider reads it.
     """
-    instances, chunk, rows = [], [], 0
-    for dialog, candidates, golden_index in labeled_candidates(corpus):
-        tokens, m, starts = _pair_tokens(dialog.current_turn.text, candidates)
-        if chunk and rows + len(tokens) > CHUNK_ROWS:
-            instances += _chunk_instances(chunk, provider, bank)
-            chunk, rows = [], 0
-        chunk.append((tokens, m, starts, golden_index))
-        rows += len(tokens)
-    return instances + _chunk_instances(chunk, provider, bank) if chunk else instances
-
-
-def _chunk_instances(chunk: list, provider, bank: KernelBank) -> list[SelectionInstance]:
-    """Instances of (tokens, m, starts, golden index) dialogs: the request path's arithmetic, batched.
-
-    One gather of unit-norm rows (:func:`~kgdial.embedding._embedded_rows`)
-    covers every row; each dialog's slice of them is a :class:`PairEmbedding`
-    whose m x p matrix :func:`translation_matrix` takes, as on a request; then
-    one ``kernel_features`` call per question length m pools the dialogs'
-    concatenated columns, so each mean over m and each candidate's sum is
-    the one a request computes.
-    """
-    unit = _embedded_rows(provider, list(chain.from_iterable(tokens for tokens, *_ in chunk)))
-    groups: dict[int, list] = {}
-    first = 0
-    for index, (tokens, m, starts, _) in enumerate(chunk):
-        last = first + len(tokens)
-        matrix = translation_matrix(PairEmbedding(unit[first:last], m, starts))
-        groups.setdefault(m, []).append((index, matrix, starts))
-        first = last
-    features = [None] * len(chunk)
-    for members in groups.values():
-        columns = accumulate((matrix.shape[1] for _, matrix, _ in members), initial=0)
-        starts = [column + s for column, (_, _, segment) in zip(columns, members) for s in segment]
-        pooled = kernel_features(np.concatenate([matrix for _, matrix, _ in members], axis=1), bank, starts)
-        row = 0
-        for index, _, segment in members:
-            features[index] = pooled[row : row + len(segment)]
-            row += len(segment)
-    return [SelectionInstance(f, item[3]) for f, item in zip(features, chunk)]
+    return [SelectionInstance(node_features(dialog.current_turn.text, candidates, provider, bank), golden_index)
+            for dialog, candidates, golden_index in labeled_candidates(corpus)]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,6 @@ import math
 import re
 import warnings
 from itertools import accumulate
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -708,7 +707,7 @@ def assert_instances_match_requests(corpus, provider, bank):
 
 
 class TestSelectionInstances:
-    """Featurizing many dialogs in chunked passes equals the request path, dialog by dialog."""
+    """A pass over a corpus is the request path, dialog by dialog, and fills and reads the knowledge index."""
 
     @settings(deadline=None, max_examples=40)
     @given(case=st.data())
@@ -722,43 +721,16 @@ class TestSelectionInstances:
             lengths = case.draw(st.lists(st.one_of(st.integers(1, 12), st.integers(129, 140)), min_size=1, max_size=5))
             entity = ("d", f"e{i}")
             snippets[entity] = [KnowledgeSnippet(*entity, str(j), text(n), "") for j, n in enumerate(lengths)]
-            # Question lengths cross the 64-token cut, and often repeat so that dialogs share a pooling
-            # pass; an unlabeled dialog is skipped.
-            turn = (DialogTurn(Speaker.USER, text(case.draw(st.one_of(st.integers(1, 70), st.just(12))))),)
+            # Question lengths cross the 64-token cut; an unlabeled dialog is skipped.
+            turn = (DialogTurn(Speaker.USER, text(case.draw(st.integers(1, 70)))),)
             if case.draw(st.booleans()):
                 golden = SnippetRef(*entity, str(case.draw(st.integers(0, len(lengths) - 1))))
                 dialogs.append(DialogInstance(f"d{i:04d}", turn, True, golden))
             else:
                 dialogs.append(DialogInstance(f"d{i:04d}", turn))
-        # Chunks of a few rows up to the real bound, so chunk edges fall anywhere.
-        with mock.patch.object(selector, "CHUNK_ROWS", case.draw(st.sampled_from([1, 60, 250, selector.CHUNK_ROWS]))):
-            assert_instances_match_requests(Corpus(snippets, dialogs), provider, bank11)
+        assert_instances_match_requests(Corpus(snippets, dialogs), provider, bank11)
 
-    def test_single_candidate_dialogs_sharing_a_question_length(self, provider7, bank11):
-        # numpy sums the 12 question rows of a one-column response in another order than of a wider one.
-        question = " ".join(f"q{i}" for i in range(12))
-        snippets = {("d", f"e{i}"): [KnowledgeSnippet("d", f"e{i}", str(j), f"q{i} q{j + 3} x{j}", "")
-                                     for j in range(width)] for i, width in enumerate((1, 1, 3, 1))}
-        dialogs = [DialogInstance(f"d{i:04d}", (DialogTurn(Speaker.USER, question),), True, SnippetRef("d", f"e{i}", "0"))
-                   for i in range(4)]
-        assert_instances_match_requests(Corpus(snippets, dialogs), provider7, bank11)
-
-    def test_corpus_larger_than_one_chunk(self, tmp_path, provider7, bank11):
-        corpus = synth_corpus(801, SynthParams(n_dialogs=400, n_candidates=8))
-        rows = sum(
-            embed_pair(provider7, d.current_turn.text, corpus.snippets[(d.golden.domain, d.golden.entity_id)]).vectors.shape[0]
-            for d in corpus.dialogs if d.target
-        )
-        assert rows > 2 * selector.CHUNK_ROWS
-        # Odd tokens are out of the file's vocabulary; w00's squared norm overflows.
-        path = tmp_path / "vectors.txt"
-        path.write_text("w00 1e200 -3e199 5e199\n" + "".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n"
-                                                            for j in range(2, 64, 2)))
-        for provider in (provider7, FileVectors(path)):
-            assert_instances_match_requests(corpus, provider, bank11)
-
-    @pytest.mark.parametrize("chunk_rows", [60, selector.CHUNK_ROWS])
-    def test_unit_tables_give_the_rows_of_a_provider_without_one(self, tmp_path, provider7, bank11, chunk_rows):
+    def test_unit_tables_give_the_rows_of_a_provider_without_one(self, tmp_path, provider7, bank11):
         corpus = synth_corpus(801, SynthParams(n_dialogs=60, n_candidates=8))
         # Odd tokens are out of the file's vocabulary; w00 overflows, w02 is zero and w04 underflows.
         path = tmp_path / "vectors.txt"
@@ -766,23 +738,25 @@ class TestSelectionInstances:
                         + "".join(f"w{j:02d} {1 + j % 5} {j % 7 - 3} {j % 3 - 1}\n" for j in range(6, 64, 2)))
         for provider in (provider7, FileVectors(path)):
             fake = EmbedTokensOnly(RawVectors(provider))
-            with mock.patch.object(selector, "CHUNK_ROWS", chunk_rows):
-                pairs = zip(selection_instances(corpus, provider, bank11), selection_instances(corpus, fake, bank11))
-                for table, gathered in pairs:
-                    assert table.features.tobytes() == gathered.features.tobytes()
+            pairs = zip(selection_instances(corpus, provider, bank11), selection_instances(corpus, fake, bank11))
+            for table, gathered in pairs:
+                assert table.features.tobytes() == gathered.features.tobytes()
             for dialog, candidates in zip(corpus.dialogs[:20], corpus.snippets.values()):
                 expected = node_features(dialog.current_turn.text, candidates, fake, bank11)
                 assert node_features(dialog.current_turn.text, candidates, provider, bank11).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("chunk_rows", [60, selector.CHUNK_ROWS])
-    def test_one_translation_matrix_call_per_dialog_and_no_embed_pair(self, monkeypatch, provider7, bank11, chunk_rows):
+    def test_one_embed_pair_per_dialog_and_a_second_pass_reads_the_index(self, monkeypatch, provider7, bank11):
         corpus = synth_corpus(801, SynthParams(n_dialogs=60, n_candidates=8))
-        products = count_calls(monkeypatch, selector, "translation_matrix")
         pairs = count_calls(monkeypatch, embedding, "embed_pair")
-        monkeypatch.setattr(selector, "CHUNK_ROWS", chunk_rows)
+        products = count_calls(monkeypatch, selector, "translation_matrix")
         instances = selection_instances(corpus, provider7, bank11)
-        assert len(products) == len(instances) == len(list(labeled_candidates(corpus)))
-        assert pairs == []
+        assert len(pairs) == len(products) == len(instances) == len(list(labeled_candidates(corpus))) > 0
+        # Every entity's snippets were tokenized on the first pass; the second tokenizes only questions.
+        tokenized = count_calls(monkeypatch, embedding, "_pair_tokens")
+        again = selection_instances(corpus, provider7, bank11)
+        assert tokenized == []
+        assert [i.features.tobytes() for i in again] == [i.features.tobytes() for i in instances]
+        assert [i.golden_index for i in again] == [i.golden_index for i in instances]
 
     def test_non_finite_embedding_rejected(self, bank11):
         corpus = hotel_corpus()
