@@ -12,7 +12,10 @@ N-grams are bucketed with CRC-32 (feature hashing needs a stable hash that
 spreads its inputs, not a cryptographic one). The hash decides which weight
 each n-gram reads, so it is part of the model: a detector file records it as
 ``"ngram_hash": "crc32"`` and a file that records no hash or another one is
-rejected at load and must be retrained.
+rejected at load and must be retrained. :func:`ngram_hash` is the hash of one
+n-gram string, which the batch path calls once per distinct n-gram; a
+request's :func:`featurize` folds an ASCII dialog to bytes once and hashes
+every n-gram's bytes in one ``map(zlib.crc32, ...)``, to the same columns.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ import numpy as np
 
 from .corpus import _USER, Corpus, DialogInstance, _load, _number_array, _write_json
 from .descent import _descend, _scored_once, check_schedule
-from .embedding import tokenize, tokenize_batch
+from .embedding import EMPTY_TOKEN, _ascii_fold, tokenize, tokenize_batch
 
 USER_PREFIX = "[User]"
 SYS_PREFIX = "[Sys]"
 
 # The n-gram hash a detector was trained with; recorded in every detector file.
 NGRAM_HASH = "crc32"
+
+# The UTF-8 bytes of the one token of text with no alphanumeric character.
+_EMPTY_GRAM = EMPTY_TOKEN.encode()
 
 
 def serialize_dialog(dialog: DialogInstance) -> str:
@@ -64,18 +70,29 @@ def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int
     """The dialog's feature columns: one per n-gram occurrence, then the turn bucket.
 
     Speaker tags survive tokenization as the tokens "user" and "sys". Each
-    unigram, then each bigram, adds ``ngram_hash(ngram) % hash_dim`` (the low
-    bits of its CRC-32 when ``hash_dim`` is a power of two), repeats included;
-    the bucket is ``hash_dim + min(turn_count, turn_buckets) - 1``. The dense
-    counts are ``np.bincount(columns, minlength=hash_dim + turn_buckets)``.
+    unigram of ``tokenize(serialized)``, then each bigram, adds
+    ``ngram_hash(ngram) % hash_dim`` (the low bits of its CRC-32 when
+    ``hash_dim`` is a power of two), repeats included; the bucket is
+    ``hash_dim + min(turn_count, turn_buckets) - 1``. The dense counts are
+    ``np.bincount(columns, minlength=hash_dim + turn_buckets)``.
+
+    Text that folds to ASCII bytes (:func:`~kgdial.embedding._ascii_fold`) is
+    split once into the tokens' bytes, and every gram is hashed by one
+    ``map(zlib.crc32, ...)``, without a ``tokenize`` or ``ngram_hash`` call;
+    other text is tokenized and each token encoded to UTF-8 first.
     """
     if hash_dim < 1 or turn_buckets < 1:
         raise ValueError(f"need hash_dim >= 1 and turn_buckets >= 1, got {hash_dim}, {turn_buckets}")
     if turn_count < 1:
         raise ValueError(f"turn_count must be >= 1, got {turn_count}")
-    tokens = tokenize(serialized)
-    columns = [ngram_hash(gram) % hash_dim for gram in tokens]
-    columns += [ngram_hash(first + " " + second) % hash_dim for first, second in zip(tokens, tokens[1:])]
+    folded = _ascii_fold(serialized)
+    if type(folded) is bytes:
+        grams = folded.split() or [_EMPTY_GRAM]
+    else:
+        grams = list(map(str.encode, tokenize(serialized)))
+    # grams[1:] is a copy, so zip stops at the last unigram while grams grows.
+    grams += map(b" ".join, zip(grams, grams[1:]))
+    columns = [h % hash_dim for h in map(zlib.crc32, grams)]
     columns.append(hash_dim + min(turn_count, turn_buckets) - 1)
     return columns
 

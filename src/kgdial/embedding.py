@@ -15,8 +15,9 @@ never matters, and a cosine matrix is one product of gathered rows.
 
 Text that is ASCII (once lowercased, if it was not) is tokenized in C: one
 byte-table translate folds case and turns every byte that is not a letter or
-digit into a space, and ``str.split`` cuts the result. Question/knowledge
-token sequences are truncated to 64 and 128 tokens.
+digit into a space, and ``str.split`` cuts the result; the detector's
+``featurize`` splits the same folded bytes (:func:`_ascii_fold`).
+Question/knowledge token sequences are truncated to 64 and 128 tokens.
 """
 
 from __future__ import annotations
@@ -54,21 +55,33 @@ _ASCII_FOLD = bytes(ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 32 
 _BATCH_FOLD = b"\0" + _ASCII_FOLD[1:]
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on non-alphanumeric runs, dropping empty pieces.
+def _ascii_fold(text: str) -> bytes | str:
+    """``text`` as bytes folded by ``_ASCII_FOLD`` if it is ASCII (once lowercased, if it was not); else ``text.lower()``.
 
-    Returns ``[EMPTY_TOKEN]`` when the text has no alphanumeric character.
-    ASCII text is translated by the ``_ASCII_FOLD`` byte table and cut by
-    ``str.split``, which gives the same tokens as the Unicode class at a
-    fraction of its cost. Other text is lowercased first and takes the same
-    path if it is ASCII then (U+212A KELVIN SIGN lowercases to ``k``); if
-    not, it is split by the Unicode class.
+    Splitting the bytes on whitespace gives the ASCII bytes of the text's
+    tokens. U+212A KELVIN SIGN lowercases to ``k``, so text holding it folds
+    too; a str return is for the Unicode class.
     """
     if not text.isascii():
         text = text.lower()
         if not text.isascii():
-            return _TOKEN_RE.findall(text) or [EMPTY_TOKEN]
-    return text.encode().translate(_ASCII_FOLD).decode().split() or [EMPTY_TOKEN]
+            return text
+    return text.encode().translate(_ASCII_FOLD)
+
+
+def tokenize(text: str) -> list[str]:
+    """Lowercase and split on non-alphanumeric runs, dropping empty pieces.
+
+    Returns ``[EMPTY_TOKEN]`` when the text has no alphanumeric character.
+    Text that is ASCII, once lowercased if it was not, is folded by
+    :func:`_ascii_fold` and cut by ``str.split``, which gives the same tokens
+    as the Unicode class at a fraction of its cost; other text is split by
+    the Unicode class.
+    """
+    folded = _ascii_fold(text)
+    if type(folded) is str:
+        return _TOKEN_RE.findall(folded) or [EMPTY_TOKEN]
+    return folded.decode().split() or [EMPTY_TOKEN]
 
 
 def tokenize_batch(texts: list[str]) -> Iterator[list[str]]:

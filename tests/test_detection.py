@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial import detection
+from kgdial import detection, embedding
 from kgdial.corpus import (
     Corpus,
     DialogInstance,
@@ -29,11 +29,12 @@ from kgdial.detection import (
     serialize_dialog,
     train_detector,
 )
-from kgdial.embedding import tokenize
+from kgdial.embedding import EMPTY_TOKEN, tokenize
 from kgdial.evaluation import evaluate_detector
 
 from helpers import (
     as_array,
+    count_calls,
     full_width_detector_descent,
     oracle_detector_features,
     oracle_ngram_index,
@@ -136,12 +137,19 @@ class TestFeaturize:
         assert 0 <= ngram_hash(ngram) < 2**32
 
 
+def expected_columns(text: str, turn_count: int, hash_dim: int, turn_buckets: int) -> list[int]:
+    """``oracle_ngram_index`` of every unigram of ``tokenize(text)``, then of every bigram, then the bucket."""
+    tokens = tokenize(text)
+    grams = tokens + [first + " " + second for first, second in zip(tokens, tokens[1:])]
+    return [oracle_ngram_index(gram, hash_dim) for gram in grams] + [hash_dim + min(turn_count, turn_buckets) - 1]
+
+
 class TestFeaturizeProperty:
     @settings(deadline=None)
     @given(
-        text=st.text(),
+        text=st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127)), st.text("Ab1 \x00?\u212a")),
         turn_count=st.integers(min_value=1, max_value=40),
-        hash_dim=st.integers(min_value=1, max_value=64),
+        hash_dim=st.one_of(st.integers(min_value=1, max_value=64), st.just(4096)),
         turn_buckets=st.integers(min_value=1, max_value=20),
     )
     def test_hashed_counts_and_one_hot_bucket(self, text, turn_count, hash_dim, turn_buckets):
@@ -152,6 +160,38 @@ class TestFeaturizeProperty:
         assert len(hashed) == 2 * len(tokens) - 1
         assert all(type(c) is int and 0 <= c < hash_dim for c in hashed)
         assert bucket == hash_dim + min(turn_count, turn_buckets) - 1
+        assert columns == expected_columns(text, turn_count, hash_dim, turn_buckets)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("[User]\u212a Room", ["user", "k", "room"]),  # KELVIN SIGN lowercases to ASCII "k"
+            ("[User]a\x00b [Sys]", ["user", "a", "b", "sys"]),
+            ("?! \x00 -", [EMPTY_TOKEN]),
+            ("", [EMPTY_TOKEN]),
+            ("[User]Straße ΟΔΟΣ w07", ["user", "straße", "οδος", "w07"]),  # stays non-ASCII
+            ("[User]İ \u212a", ["user", "i", "k"]),  # İ lowercases to i and a combining dot, a non-letter
+        ],
+    )
+    def test_exact_columns_of_edge_texts(self, text, tokens):
+        assert tokenize(text) == tokens
+        assert featurize(text, 3, 4096, 16) == expected_columns(text, 3, 4096, 16)
+
+    @pytest.mark.parametrize("text", ["[User]Is there free wifi?[Sys]Yes.", "[User]\u212a", "?!", "a\x00b"])
+    def test_text_that_folds_to_ascii_is_neither_tokenized_nor_hashed_gram_by_gram(self, monkeypatch, text):
+        expected = expected_columns(text, 2, 64, 4)
+        tokenized = count_calls(monkeypatch, embedding, "tokenize")
+        hashed = count_calls(monkeypatch, detection, "ngram_hash")
+        assert featurize(text, 2, 64, 4) == expected
+        assert tokenized == [] and hashed == []
+
+    def test_text_that_stays_non_ascii_is_tokenized_once(self, monkeypatch):
+        text = "[User]Straße \u212a w07"
+        expected = expected_columns(text, 2, 64, 4)
+        tokenized = count_calls(monkeypatch, embedding, "tokenize")
+        hashed = count_calls(monkeypatch, detection, "ngram_hash")
+        assert featurize(text, 2, 64, 4) == expected
+        assert tokenized == [(text,)] and hashed == []
 
 
 class TestDetectScore:
