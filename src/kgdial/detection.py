@@ -12,24 +12,24 @@ N-grams are bucketed with CRC-32 (feature hashing needs a stable hash that
 spreads its inputs, not a cryptographic one). The hash decides which weight
 each n-gram reads, so it is part of the model: a detector file records it as
 ``"ngram_hash": "crc32"`` and a file that records no hash or another one is
-rejected at load and must be retrained. :func:`ngram_hash` is the hash of one
-n-gram string, which the batch path calls once per distinct n-gram; a
-request's :func:`featurize` folds an ASCII dialog to bytes once and hashes
-every n-gram's bytes in one ``map(zlib.crc32, ...)``, to the same columns.
+rejected at load and must be retrained. :func:`ngram_hash` is that hash, the
+one place it is spelled: :func:`featurize` calls it once per dialog with all
+of the dialog's n-grams. Training, batch scoring and a request all featurize
+through :func:`featurize`.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import _USER, Corpus, DialogInstance, _load, _number_array, _write_json
 from .descent import _descend, _scored_once, check_schedule
-from .embedding import EMPTY_TOKEN, _ascii_fold, tokenize, tokenize_batch
+from .embedding import EMPTY_TOKEN, _ascii_fold, tokenize
 
 USER_PREFIX = "[User]"
 SYS_PREFIX = "[Sys]"
@@ -57,32 +57,36 @@ def serialize_dialog(dialog: DialogInstance) -> str:
     return "".join(parts)
 
 
-def ngram_hash(ngram: str) -> int:
-    """Stable 32-bit hash of an n-gram: CRC-32 of its UTF-8 bytes, in [0, 2**32).
+def ngram_hash(grams: list[bytes], hash_dim: int) -> list[int]:
+    """The column of each n-gram, given as its UTF-8 bytes: its CRC-32 modulo ``hash_dim``.
 
-    The same in every process and on every platform, unlike the salted
-    built-in ``hash``.
+    The CRC-32 is a stable 32-bit hash, the same in every process and on
+    every platform, unlike the salted built-in ``hash``; at ``hash_dim =
+    2**32`` the columns are the hashes themselves. All grams are hashed in
+    one C-level ``map``. Raises ``ValueError`` for ``hash_dim < 1``.
     """
-    return zlib.crc32(ngram.encode("utf-8"))
+    if hash_dim < 1:
+        raise ValueError(f"hash_dim must be >= 1, got {hash_dim}")
+    return [h % hash_dim for h in map(zlib.crc32, grams)]
 
 
 def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int) -> list[int]:
     """The dialog's feature columns: one per n-gram occurrence, then the turn bucket.
 
     Speaker tags survive tokenization as the tokens "user" and "sys". Each
-    unigram of ``tokenize(serialized)``, then each bigram, adds
-    ``ngram_hash(ngram) % hash_dim`` (the low bits of its CRC-32 when
-    ``hash_dim`` is a power of two), repeats included; the bucket is
+    unigram of ``tokenize(serialized)``, then each bigram, adds its
+    :func:`ngram_hash` column (the low bits of its CRC-32 when ``hash_dim``
+    is a power of two), repeats included; the bucket is
     ``hash_dim + min(turn_count, turn_buckets) - 1``. The dense counts are
     ``np.bincount(columns, minlength=hash_dim + turn_buckets)``.
 
     Text that folds to ASCII bytes (:func:`~kgdial.embedding._ascii_fold`) is
-    split once into the tokens' bytes, and every gram is hashed by one
-    ``map(zlib.crc32, ...)``, without a ``tokenize`` or ``ngram_hash`` call;
-    other text is tokenized and each token encoded to UTF-8 first.
+    split once into the tokens' bytes, without a ``tokenize`` call; other
+    text is tokenized and each token encoded to UTF-8. Either way every gram
+    is hashed by one :func:`ngram_hash` call, which checks ``hash_dim``.
     """
-    if hash_dim < 1 or turn_buckets < 1:
-        raise ValueError(f"need hash_dim >= 1 and turn_buckets >= 1, got {hash_dim}, {turn_buckets}")
+    if turn_buckets < 1:
+        raise ValueError(f"turn_buckets must be >= 1, got {turn_buckets}")
     if turn_count < 1:
         raise ValueError(f"turn_count must be >= 1, got {turn_count}")
     folded = _ascii_fold(serialized)
@@ -92,7 +96,7 @@ def featurize(serialized: str, turn_count: int, hash_dim: int, turn_buckets: int
         grams = list(map(str.encode, tokenize(serialized)))
     # grams[1:] is a copy, so zip stops at the last unigram while grams grows.
     grams += map(b" ".join, zip(grams, grams[1:]))
-    columns = [h % hash_dim for h in map(zlib.crc32, grams)]
+    columns = ngram_hash(grams, hash_dim)
     columns.append(hash_dim + min(turn_count, turn_buckets) - 1)
     return columns
 
@@ -171,35 +175,22 @@ def detect_score(model: DetectorModel, columns: list[int]) -> float:
     return _sigmoid(np.add.reduce(model.weights.take(columns)))
 
 
-def _featurize_batch(dialogs: list[DialogInstance], hash_dim: int, turn_buckets: int) -> tuple[np.ndarray, list[int]]:
-    """Every dialog's :func:`featurize` columns, concatenated in dialog order, and each dialog's column count.
-
-    The serialized dialogs are tokenized in one :func:`tokenize_batch` call,
-    each distinct n-gram is hashed once by :func:`ngram_hash`, and the
-    occurrences' columns are gathered from the distinct ones with one ``take``.
-    A dialog's turn bucket sits in the same sequence as an int key, so it
-    keeps its place after the dialog's bigrams.
-    """
-    grams: list = []
-    lengths = []
-    for tokens, dialog in zip(tokenize_batch(list(map(serialize_dialog, dialogs))), dialogs):
-        grams += tokens
-        grams += map(" ".join, zip(tokens, tokens[1:]))
-        grams.append(hash_dim + min(len(dialog.turns), turn_buckets) - 1)
-        lengths.append(2 * len(tokens))  # unigrams, one bigram fewer, and the bucket
-    index = dict(zip(dict.fromkeys(grams), range(len(grams))))  # each distinct gram's place, in first-seen order
-    distinct = np.fromiter((ngram_hash(gram) % hash_dim if type(gram) is str else gram for gram in index), np.int64)
-    return distinct.take(list(map(index.__getitem__, grams))), lengths
+def _featurize_all(dialogs: list[DialogInstance], hash_dim: int, turn_buckets: int) -> tuple[list[int], list[int]]:
+    """Every dialog's :func:`featurize` columns, concatenated in dialog order, and each dialog's column count."""
+    rows = [featurize(serialize_dialog(d), len(d.turns), hash_dim, turn_buckets) for d in dialogs]
+    return list(chain.from_iterable(rows)), list(map(len, rows))
 
 
 def _detect_batch(model: DetectorModel, dialogs: list[DialogInstance]) -> np.ndarray:
-    """Each dialog's :func:`detect` probability, bit for bit, from one batch featurization.
+    """Each dialog's :func:`detect` probability, bit for bit.
 
-    A dialog's score is ``np.add.reduce`` of its own contiguous slice of the
-    gathered weights, the same reduction over the same values in the same
-    order as :func:`detect_score`; one vectorized sigmoid follows.
+    Each dialog is featurized as :func:`detect` does it and the weights at
+    all of the columns are gathered with one ``take``. A dialog's score is
+    ``np.add.reduce`` of its own contiguous slice of them, the same reduction
+    over the same values in the same order as :func:`detect_score`; one
+    vectorized sigmoid follows.
     """
-    columns, lengths = _featurize_batch(dialogs, model.hash_dim, model.turn_buckets)
+    columns, lengths = _featurize_all(dialogs, model.hash_dim, model.turn_buckets)
     weights = model.weights.take(columns)
     reduce = np.add.reduce
     scores = np.array([reduce(weights[start : start + n]) for start, n in zip(accumulate(lengths, initial=0), lengths)])
@@ -244,8 +235,8 @@ def train_detector(
     initialization). With ``line_search`` the step is halved until the loss
     does not increase. Deterministic for fixed inputs and hyperparameters.
 
-    Training never holds the dense n x (hash_dim + turn_buckets) matrix: the
-    dialogs' :func:`featurize` columns are built in one batch and
+    Training never holds the dense n x (hash_dim + turn_buckets) matrix: each
+    dialog is featurized once, by :func:`featurize`, the columns are
     concatenated, and both mat-vecs are ``np.bincount`` sums over their
     (row, column) pairs. The descent runs over the distinct columns the
     corpus uses only, so an epoch costs the same at any ``hash_dim``; every
@@ -254,7 +245,7 @@ def train_detector(
     """
     if not corpus.dialogs:
         raise ValueError("corpus has no dialogs")
-    columns, lengths = _featurize_batch(corpus.dialogs, hyper.hash_dim, hyper.turn_buckets)
+    columns, lengths = _featurize_all(corpus.dialogs, hyper.hash_dim, hyper.turn_buckets)
     labels = np.array([1.0 if d.target else 0.0 for d in corpus.dialogs])
     if labels.min() == labels.max():
         raise ValueError("training corpus must contain both target and non-target dialogs")

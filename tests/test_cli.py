@@ -151,10 +151,12 @@ class TestTrain:
     def test_detect_featurizes_each_dialog_once_to_train_and_once_to_score(
         self, workdir, monkeypatch, tmp_path, capsys
     ):
-        calls = count_calls(monkeypatch, detection, "_featurize_batch")
+        corpus = load_corpus(workdir["knowledge"], workdir["logs"], workdir["labels"])
+        dialogs = [(detection.serialize_dialog(d), len(d.turns), 4096, 16) for d in corpus.dialogs]
+        calls = count_calls(monkeypatch, detection, "featurize")
         assert main(["train", "detect", *workdir["corpus_flags"],
                      "--model", str(tmp_path / "d.json"), "--epochs", "3"]) == 0
-        assert [len(dialogs) for dialogs, *_ in calls] == [30, 30]
+        assert len(dialogs) == 30 and calls == dialogs + dialogs
         assert "mean probability" in capsys.readouterr().out
 
     def test_select_extracts_features_once(self, workdir, monkeypatch, tmp_path, capsys):

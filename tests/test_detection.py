@@ -126,22 +126,37 @@ class TestFeaturize:
             featurize("[User]hi", 0, 16, 2)
         with pytest.raises(ValueError, match="hash_dim"):
             featurize("[User]hi", 1, 0, 2)
+        with pytest.raises(ValueError, match="turn_buckets"):
+            featurize("[User]hi", 1, 16, 0)
 
     def test_ngram_hash_is_stable(self):
-        assert ngram_hash("parking") == 2989970042
-        assert ngram_hash("停车") == 1165278108
-        assert ngram_hash("") == 0
+        assert ngram_hash([b"parking", "停车".encode(), b""], 2**32) == [2989970042, 1165278108, 0]
 
-    @given(st.text())
-    def test_ngram_hash_is_32_bit(self, ngram):
-        assert 0 <= ngram_hash(ngram) < 2**32
+    @given(st.lists(st.text()))
+    def test_ngram_hash_is_32_bit(self, ngrams):
+        assert all(0 <= h < 2**32 for h in ngram_hash([g.encode() for g in ngrams], 2**32))
+
+    @given(ngrams=st.lists(st.text()), hash_dim=st.integers(min_value=1, max_value=4096))
+    def test_ngram_hash_equals_the_oracle(self, ngrams, hash_dim):
+        columns = ngram_hash([g.encode() for g in ngrams], hash_dim)
+        assert columns == [oracle_ngram_index(g, hash_dim) for g in ngrams]
+
+    @pytest.mark.parametrize("hash_dim", [0, -4])
+    def test_ngram_hash_rejects_a_hash_dim_below_one(self, hash_dim):
+        with pytest.raises(ValueError, match=f"hash_dim must be >= 1, got {hash_dim}"):
+            ngram_hash([b"parking"], hash_dim)
+
+
+def expected_grams(text: str) -> list[str]:
+    """Every unigram of ``tokenize(text)``, then every bigram."""
+    tokens = tokenize(text)
+    return tokens + [first + " " + second for first, second in zip(tokens, tokens[1:])]
 
 
 def expected_columns(text: str, turn_count: int, hash_dim: int, turn_buckets: int) -> list[int]:
-    """``oracle_ngram_index`` of every unigram of ``tokenize(text)``, then of every bigram, then the bucket."""
-    tokens = tokenize(text)
-    grams = tokens + [first + " " + second for first, second in zip(tokens, tokens[1:])]
-    return [oracle_ngram_index(gram, hash_dim) for gram in grams] + [hash_dim + min(turn_count, turn_buckets) - 1]
+    """``oracle_ngram_index`` of every gram of ``expected_grams(text)``, then the bucket."""
+    bucket = hash_dim + min(turn_count, turn_buckets) - 1
+    return [oracle_ngram_index(gram, hash_dim) for gram in expected_grams(text)] + [bucket]
 
 
 class TestFeaturizeProperty:
@@ -180,18 +195,20 @@ class TestFeaturizeProperty:
     @pytest.mark.parametrize("text", ["[User]Is there free wifi?[Sys]Yes.", "[User]\u212a", "?!", "a\x00b"])
     def test_text_that_folds_to_ascii_is_neither_tokenized_nor_hashed_gram_by_gram(self, monkeypatch, text):
         expected = expected_columns(text, 2, 64, 4)
+        grams = [gram.encode() for gram in expected_grams(text)]
         tokenized = count_calls(monkeypatch, embedding, "tokenize")
         hashed = count_calls(monkeypatch, detection, "ngram_hash")
         assert featurize(text, 2, 64, 4) == expected
-        assert tokenized == [] and hashed == []
+        assert tokenized == [] and hashed == [(grams, 64)]
 
     def test_text_that_stays_non_ascii_is_tokenized_once(self, monkeypatch):
         text = "[User]Straße \u212a w07"
         expected = expected_columns(text, 2, 64, 4)
+        grams = [gram.encode() for gram in expected_grams(text)]
         tokenized = count_calls(monkeypatch, embedding, "tokenize")
         hashed = count_calls(monkeypatch, detection, "ngram_hash")
         assert featurize(text, 2, 64, 4) == expected
-        assert tokenized == [(text,)] and hashed == []
+        assert tokenized == [(text,)] and hashed == [(grams, 64)]
 
 
 class TestDetectScore:
@@ -481,7 +498,8 @@ class TestColumnDescent:
         monkeypatch.setattr(detection, "_descend", recording)
         for hash_dim in (16, 4096, detection.MAX_HASH_DIM):
             model, _ = train_detector(small_corpus, DetectorHyper(hash_dim=hash_dim, epochs=2))
-            columns, _ = detection._featurize_batch(small_corpus.dialogs, hash_dim, 16)
+            rows = [featurize(serialize_dialog(d), len(d.turns), hash_dim, 16) for d in small_corpus.dialogs]
+            columns = [c for row in rows for c in row]
             assert widths[-1] == np.unique(columns).size < 300
             assert model.weights.size == hash_dim + 16
 
@@ -514,7 +532,7 @@ class TestDetect:
 
 
 class TestBatchDetection:
-    """The batch path that training and evaluation use gives every dialog's ``detect`` result bit for bit."""
+    """The batch scoring that evaluation uses gives every dialog's ``detect`` result bit for bit."""
 
     WORDS = ["room", "room", "Room", "wifi", "free", "Ünï", "ΟΔΟΣ", "\u212a", "a\x00b", "?", ""]
 
@@ -534,10 +552,6 @@ class TestBatchDetection:
                                          min_size=n_turns - 1, max_size=n_turns - 1))
             speakers = [*history, Speaker.USER]
             dialogs.append(DialogInstance(f"d{i:04d}", tuple(map(DialogTurn, speakers, texts))))
-        columns, lengths = detection._featurize_batch(dialogs, hash_dim, turn_buckets)
-        expected = [featurize(serialize_dialog(d), len(d.turns), hash_dim, turn_buckets) for d in dialogs]
-        assert lengths == list(map(len, expected))
-        assert columns.tolist() == [c for row in expected for c in row]
         probabilities = detection._detect_batch(model, dialogs)
         results = [detect(model, d) for d in dialogs]
         assert probabilities.tobytes() == np.array([r.probability for r in results]).tobytes()
