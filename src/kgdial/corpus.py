@@ -14,9 +14,10 @@ and optional per-dialog labels. All three files are UTF-8 JSON:
 
 Dialog ids are positional (``d0000``, ``d0001``, ...) and are regenerated on
 load. Loaded corpora are immutable by convention and safe for concurrent
-reads; the one thing a read (a request, a training or an evaluation pass)
-writes is an entity's knowledge index (see :class:`EntitySnippets`), which
-is replaced whole, by one attribute store.
+reads; the two things a read (a request, a training or an evaluation pass)
+writes are an entity's knowledge index (see :class:`EntitySnippets`) and the
+corpus's vocabulary index (see :class:`Corpus`), each replaced whole, by one
+attribute store.
 
 Each entity's documents are stored as one :class:`EntitySnippets`: a single
 tuple of plain ``(domain, entity_id, doc_id, title, body)`` rows. The cyclic
@@ -182,11 +183,21 @@ class Corpus:
     file order, each entity's as one :class:`EntitySnippets` (any other
     sequence of snippets given is wrapped in one); this stored order is the
     candidate order everywhere downstream.
+
+    ``vocabulary_index`` is ``None`` until
+    :func:`~kgdial.embedding.build_vocabulary` first reads this corpus; it
+    then holds ``(entities, vocabulary)``: the tuple of ``snippets``' values
+    it was built from and the TF-IDF vocabulary. A later call whose entities
+    equal these (the same objects, or entities with equal rows, in the same
+    order) returns the stored vocabulary without tokenizing. Equality,
+    ``repr`` and :func:`dataclasses.replace` ignore it; a replaced corpus
+    starts with none.
     """
 
     snippets: dict[tuple[str, str], EntitySnippets]
     dialogs: list[DialogInstance]
     entity_names: dict[tuple[str, str], str] = field(default_factory=dict)
+    vocabulary_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.snippets = {

@@ -400,6 +400,10 @@ class Vocabulary:
 
     Tokens keep their order of first appearance; a token's id is its place in
     that order, and ``idf[id]`` is ln((1+N)/(1+df)) + 1 with N the snippet count.
+
+    A corpus keeps its vocabulary (see :func:`build_vocabulary`), so every
+    later caller gets this same object: ``idf`` is read-only, and
+    ``doc_freq`` and ``ids`` are shared and must not be mutated.
     """
 
     doc_freq: dict[str, int]
@@ -411,13 +415,25 @@ class Vocabulary:
 def build_vocabulary(corpus: Corpus) -> Vocabulary:
     """Count, per token, the snippet texts it appears in; tokens keep their order of first appearance.
 
-    The knowledge base is tokenized in one :func:`tokenize_batch` pass.
+    A vocabulary depends only on the entities' rows in order, so it is kept
+    in the corpus's vocabulary index, keyed by the tuple of its entities, for
+    as long as the corpus lives. A call whose entities equal the stored ones
+    (one C-level pass, identity first) returns the stored vocabulary; any
+    other call (an entity added, removed, reordered or changed) tokenizes the
+    knowledge base in one :func:`tokenize_batch` pass and replaces the index.
     """
-    texts = _snippet_texts(chain.from_iterable(map(_rows, corpus.snippets.values())))
+    entities = tuple(corpus.snippets.values())
+    index = corpus.vocabulary_index
+    if index is not None and index[0] == entities:
+        return index[1]
+    texts = _snippet_texts(chain.from_iterable(map(_rows, entities)))
     doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, tokenize_batch(texts)))))
     n = len(texts)
     idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in doc_freq.values()])
-    return Vocabulary(doc_freq, n, dict(zip(doc_freq, range(len(doc_freq)))), idf)
+    idf.flags.writeable = False
+    vocab = Vocabulary(doc_freq, n, dict(zip(doc_freq, range(len(doc_freq)))), idf)
+    corpus.vocabulary_index = (entities, vocab)
+    return vocab
 
 
 def _token_weights(vocab: Vocabulary, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -129,7 +129,13 @@ def _rank_instances(model: SelectorModel, instances: list[SelectionInstance]) ->
 
 
 def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
-    """Golden-rank metrics for the TF-IDF baseline over the same dialogs, all scored in one call."""
+    """Golden-rank metrics for the TF-IDF baseline over the same dialogs, all scored in one call.
+
+    The vocabulary is the corpus's own (:func:`~kgdial.embedding.build_vocabulary`):
+    built on the first call and read back on each later one while the
+    knowledge base is unchanged, so a repeat tokenizes only the labeled
+    questions and their candidates.
+    """
     labeled = list(labeled_candidates(corpus))
     if not labeled:
         raise ValueError("corpus has no labeled knowledge-seeking dialogs to evaluate")

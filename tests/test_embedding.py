@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -714,3 +715,106 @@ class TestBuildVocabulary:
         corpus = corpus_of(snippet("0", "echo echo echo"))
         vocab = build_vocabulary(corpus)
         assert vocab.doc_freq["echo"] == 1
+
+    def test_idf_is_read_only(self):
+        vocab = build_vocabulary(corpus_of(snippet("0", "alpha beta")))
+        with pytest.raises(ValueError, match="read-only"):
+            vocab.idf[0] = 2.0
+
+
+def same_vocabulary(a, b) -> bool:
+    """Field-by-field equality of two vocabularies: token order, counts, ids and idf bits."""
+    return (list(a.doc_freq.items()) == list(b.doc_freq.items()) and a.n_documents == b.n_documents
+            and list(a.ids.items()) == list(b.ids.items()) and a.idf.shape == b.idf.shape
+            and a.idf.tobytes() == b.idf.tobytes())
+
+
+def fresh_vocabulary(corpus):
+    """The vocabulary of a new corpus holding the same entities, so built without an index."""
+    return build_vocabulary(Corpus(dict(corpus.snippets), []))
+
+
+def entity(seed: int) -> EntitySnippets:
+    """One to three snippets whose tokens depend on ``seed``."""
+    return EntitySnippets([snippet(str(i), f"t{(seed + i) % 7} t{seed % 5}", f"b{seed % 3}")
+                           for i in range(1 + seed % 3)])
+
+
+def three_entities():
+    return Corpus({("d", str(e)): entity(e) for e in range(3)}, [])
+
+
+# Each mutation edits a corpus's entities in place: a knowledge base changed after its vocabulary was built.
+def add(corpus, key):
+    corpus.snippets[("new", str(len(corpus.snippets)))] = entity(len(corpus.snippets) + 11)
+
+
+def delete(corpus, key):
+    del corpus.snippets[key]
+
+
+def reinsert(corpus, key):
+    corpus.snippets[key] = corpus.snippets.pop(key)
+
+
+def replace_changed(corpus, key):
+    corpus.snippets[key] = EntitySnippets(corpus.snippets[key].rows + (("d", "e", "x", "extra", "rows"),))
+
+
+def replace_equal(corpus, key):
+    corpus.snippets[key] = EntitySnippets(corpus.snippets[key].rows)
+
+
+class TestVocabularyIndex:
+    def test_second_call_returns_the_stored_vocabulary_without_tokenizing(self, monkeypatch):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        assert build_vocabulary(corpus) is vocab
+        assert calls == []
+        assert corpus.vocabulary_index == (tuple(corpus.snippets.values()), vocab)
+
+    @pytest.mark.parametrize("mutate", [add, delete, reinsert, replace_changed])
+    def test_a_changed_knowledge_base_is_built_again(self, monkeypatch, mutate):
+        corpus = three_entities()
+        stale = build_vocabulary(corpus)
+        mutate(corpus, ("d", "0"))
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        vocab = build_vocabulary(corpus)
+        assert vocab is not stale and len(calls) == 1
+        assert not same_vocabulary(vocab, stale)
+        assert same_vocabulary(vocab, fresh_vocabulary(corpus))
+        assert build_vocabulary(corpus) is vocab
+
+    def test_an_entity_replaced_by_one_with_equal_rows_is_a_hit(self, monkeypatch):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        replace_equal(corpus, ("d", "1"))
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        assert build_vocabulary(corpus) is vocab
+        assert calls == []
+
+    def test_equality_repr_and_replace_ignore_the_index(self):
+        corpus = three_entities()
+        build_vocabulary(corpus)
+        fresh = Corpus(dict(corpus.snippets), [])
+        assert corpus.vocabulary_index is not None and fresh.vocabulary_index is None
+        assert corpus == fresh and repr(corpus) == repr(fresh)
+        assert "vocabulary_index" not in repr(corpus)
+        replaced = dataclasses.replace(corpus)
+        assert replaced == corpus and replaced.vocabulary_index is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(steps=st.lists(st.tuples(st.sampled_from([add, delete, reinsert, replace_changed, replace_equal]),
+                                    st.integers(0, 9)), max_size=8))
+    def test_every_mutation_sequence_reads_as_a_fresh_build(self, steps):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        for mutate, pick in steps:
+            keys = list(corpus.snippets)
+            if keys or mutate is add:
+                mutate(corpus, keys[pick % len(keys)] if keys else None)
+            then = corpus.vocabulary_index[0]
+            previous, vocab = vocab, build_vocabulary(corpus)
+            assert (vocab is previous) == (then == tuple(corpus.snippets.values()))
+            assert same_vocabulary(vocab, fresh_vocabulary(corpus))

@@ -245,14 +245,31 @@ class TestEvaluateTfidf:
         with pytest.raises(ValueError, match="no labeled"):
             evaluate_tfidf(unlabeled)
 
-    def test_golden_tied_with_an_earlier_copy_warns_and_ranks_second(self):
+    @staticmethod
+    def golden_after_a_copy():
         copies = [KnowledgeSnippet("d", "e", doc_id, "alpha?", "beta.") for doc_id in "01"]
         dialog = DialogInstance(
             "d0000", (DialogTurn(Speaker.USER, "alpha"),), target=True, golden=SnippetRef("d", "e", "1")
         )
+        return Corpus({("d", "e"): copies}, [dialog])
+
+    def test_golden_tied_with_an_earlier_copy_warns_and_ranks_second(self):
         with pytest.warns(UserWarning, match="^tfidf evaluation: 1 candidate scores tied"):
-            metrics = evaluate_tfidf(Corpus({("d", "e"): copies}, [dialog]))
+            metrics = evaluate_tfidf(self.golden_after_a_copy())
         assert (metrics.acc_at_1, metrics.mrr_at_5) == (0.0, 0.5)
+
+    def test_a_repeat_on_one_corpus_reports_the_same_metrics_and_ties(self):
+        corpus = self.golden_after_a_copy()
+        runs = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                metrics = evaluate_tfidf(corpus)
+            runs.append((metrics, [str(w.message) for w in caught]))
+        assert corpus.vocabulary_index is not None
+        assert runs[0] == runs[1]
+        [message] = runs[0][1]
+        assert message.startswith("tfidf evaluation: 1 candidate scores tied")
 
     def test_golden_missing_from_entity_names_dialog(self):
         broken = hotel_corpus_missing_golden()
