@@ -14,17 +14,18 @@ and optional per-dialog labels. All three files are UTF-8 JSON:
 
 Dialog ids are positional (``d0000``, ``d0001``, ...) and are regenerated on
 load. Loaded corpora are immutable by convention and safe for concurrent
-reads; the two things a read (a request, a training or an evaluation pass)
-writes are an entity's knowledge index (see :class:`EntitySnippets`) and the
-corpus's vocabulary index (see :class:`Corpus`), each replaced whole, by one
-attribute store.
+reads; the three things a read (a request, a training or an evaluation pass)
+writes are an entity's knowledge index and TF-IDF index (see
+:class:`EntitySnippets`) and the corpus's vocabulary index (see
+:class:`Corpus`), each replaced whole, by one attribute store.
 
 Each entity's documents are stored as one :class:`EntitySnippets`: a single
 tuple of plain ``(domain, entity_id, doc_id, title, body)`` rows. The cyclic
 garbage collector stops tracking a plain tuple of strings at the first pass
 that reaches it, and a tuple of such tuples by the next, so a loaded
-knowledge base costs it one object per entity, not one per document (two once
-the entity's knowledge index holds its provider). A :class:`KnowledgeSnippet` is built only where one is asked for,
+knowledge base costs it one object per entity, not one per document (one more
+for each of the entity's two indexes once filled: each holds its provider or
+vocabulary). A :class:`KnowledgeSnippet` is built only where one is asked for,
 by indexing or iterating; the hot paths (featurizing, TF-IDF, golden lookup,
 writing) read the rows and build none.
 """
@@ -110,14 +111,25 @@ class EntitySnippets(Sequence):
     token after truncation (an int array, 8 B a token, ≈2 KB for 64 synth
     snippets) and each snippet's first token. A later request, training or
     evaluation pass with the same provider tokenizes only its question.
-    Equality, ``repr`` and slicing ignore it; a slice starts with none.
+
+    ``tfidf_index`` is ``None`` until :func:`~kgdial.embedding.tfidf_rank`
+    first weighs these snippets as a candidate set; it then holds
+    ``(vocabulary, keys, weights)``: the vocabulary, and the snippets'
+    TF-IDF rows under it as two read-only arrays, each snippet's
+    in-vocabulary tokens keyed ``snippet index * V + token id`` (V the
+    vocabulary size) in sorted order, with their weights. A later call with
+    the same vocabulary weighs only its questions.
+
+    Equality, ``repr`` and slicing ignore both indexes; a slice starts with
+    neither.
     """
 
-    __slots__ = ("rows", "knowledge_index")
+    __slots__ = ("rows", "knowledge_index", "tfidf_index")
 
     def __init__(self, snippets: Iterable[KnowledgeSnippet] = ()):
         self.rows = tuple(map(tuple, snippets))
         self.knowledge_index = None
+        self.tfidf_index = None
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -133,8 +133,9 @@ def evaluate_tfidf(corpus: Corpus) -> SelectionMetrics:
 
     The vocabulary is the corpus's own (:func:`~kgdial.embedding.build_vocabulary`):
     built on the first call and read back on each later one while the
-    knowledge base is unchanged, so a repeat tokenizes only the labeled
-    questions and their candidates.
+    knowledge base is unchanged. Each labeled entity keeps its TF-IDF rows
+    under that vocabulary (:func:`~kgdial.embedding.tfidf_rank`), so a
+    repeat tokenizes only the labeled questions.
     """
     labeled = list(labeled_candidates(corpus))
     if not labeled:

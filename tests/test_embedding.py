@@ -818,3 +818,147 @@ class TestVocabularyIndex:
             previous, vocab = vocab, build_vocabulary(corpus)
             assert (vocab is previous) == (then == tuple(corpus.snippets.values()))
             assert same_vocabulary(vocab, fresh_vocabulary(corpus))
+
+
+def slice_off(corpus, key):
+    """Replace an entity by a slice of itself without its last snippet (all of it when it has one)."""
+    docs = corpus.snippets[key]
+    corpus.snippets[key] = docs[: max(1, len(docs) - 1)]
+
+
+def entity_texts(*entities):
+    return embedding._snippet_texts([row for docs in entities for row in docs.rows])
+
+
+def same_arrays(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Question tokens of the TF-IDF index tests: those of ``entity`` above, and one outside every vocabulary.
+INDEX_TOKENS = [f"t{i}" for i in range(7)] + ["b0", "b1", "b2", "oov"]
+
+
+class TestTfidfIndex:
+    """An entity's TF-IDF index gives the scores that weighing its snippets afresh gives."""
+
+    QUESTIONS = ["t0 b1", "t3", "oov t2 t2"]
+
+    def test_a_repeat_tokenizes_only_its_questions(self, monkeypatch):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        sets = list(corpus.snippets.values())
+        first = tfidf_rank(vocab, self.QUESTIONS, sets)
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        again = tfidf_rank(vocab, self.QUESTIONS, sets)
+        assert calls == [(self.QUESTIONS,)]
+        assert same_arrays(again, first)
+
+    def test_an_entity_repeated_in_a_cold_call_is_weighed_once(self, monkeypatch):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        first, second = corpus.snippets[("d", "1")], corpus.snippets[("d", "2")]
+        questions = self.QUESTIONS + ["b2"]
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        scores = tfidf_rank(vocab, questions, [first, second, first, first])
+        assert calls == [(entity_texts(first, second),), (questions,)]
+        lists = [list(first), list(second), list(first), list(first)]
+        assert same_arrays(scores, tfidf_rank(vocab, questions, lists))
+
+    @pytest.mark.parametrize("words", [TFIDF_TOKENS, TestKnowledgeIndex.WORDS], ids=["ascii", "odd"])
+    def test_stored_rows_score_as_a_list_of_the_same_snippets(self, words):
+        rng = np.random.default_rng(5)
+
+        def text():
+            return " ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+
+        entities = [EntitySnippets([snippet(str(i), text(), text()) for i in range(1 + e)]) for e in range(3)]
+        corpus = Corpus({("d", str(e)): docs for e, docs in enumerate(entities)}, [])
+        vocab = build_vocabulary(corpus)
+        questions = [text() for _ in entities]
+        for _ in range(2):  # the first call stores each entity's rows, the second reads them
+            scores = tfidf_rank(vocab, questions, entities)
+            assert same_arrays(scores, tfidf_rank(vocab, questions, [list(docs) for docs in entities]))
+            for docs in entities:
+                stored, keys, weights = docs.tfidf_index
+                expected_keys, expected_weights = embedding._token_weights(vocab, entity_texts(docs))
+                assert stored is vocab
+                assert same_arrays(keys, expected_keys) and same_arrays(weights, expected_weights)
+
+    def test_another_vocabulary_weighs_again_and_replaces_the_rows(self, monkeypatch):
+        corpus = three_entities()
+        sets = list(corpus.snippets.values())
+        first = build_vocabulary(corpus)
+        tfidf_rank(first, self.QUESTIONS, sets)
+        # An equal vocabulary built anew, then one whose ids differ (the entities in reverse order).
+        for vocab in (fresh_vocabulary(corpus), build_vocabulary(Corpus(dict(reversed(corpus.snippets.items())), []))):
+            assert vocab is not first
+            calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+            scores = tfidf_rank(vocab, self.QUESTIONS, sets)
+            assert calls == [(entity_texts(*sets),), (self.QUESTIONS,)]
+            assert all(docs.tfidf_index[0] is vocab for docs in sets)
+            assert same_arrays(scores, tfidf_rank(vocab, self.QUESTIONS, [list(docs) for docs in sets]))
+            monkeypatch.undo()
+        assert not same_arrays(sets[0].tfidf_index[1], embedding._token_weights(first, entity_texts(sets[0]))[0])
+
+    def test_stored_rows_are_read_only(self):
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        # A cold call returns its batch arrays as they are and shares them with the index.
+        for _ in range(2):
+            tfidf_rank(vocab, self.QUESTIONS, list(corpus.snippets.values()))
+        for docs in corpus.snippets.values():
+            for array in docs.tfidf_index[1:]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_a_list_is_weighed_every_call(self, monkeypatch):
+        items = [snippet("0", "t0 t1"), snippet("1", "t2")]
+        vocab = build_vocabulary(corpus_of(*items))
+        tfidf_rank(vocab, ["t0"], [items])
+        calls = count_calls(monkeypatch, embedding, "tokenize_batch")
+        tfidf_rank(vocab, ["t0"], [items])
+        assert calls == [(entity_texts(EntitySnippets(items)),), (["t0"],)]
+
+    def test_equality_repr_and_slicing_ignore_the_index(self):
+        corpus = three_entities()
+        docs = corpus.snippets[("d", "2")]
+        tfidf_rank(build_vocabulary(corpus), ["t0"], [docs])
+        fresh = EntitySnippets(docs.rows)
+        assert docs.tfidf_index is not None and fresh.tfidf_index is None
+        assert docs == fresh and docs == list(fresh) and repr(docs) == repr(fresh)
+        part = docs[1:]
+        assert part == list(docs)[1:] and part.tfidf_index is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        steps=st.lists(st.tuples(st.sampled_from([add, delete, slice_off, replace_changed]), st.integers(0, 9)),
+                       max_size=6),
+        picks=st.lists(st.tuples(st.integers(0, 9), st.booleans(),
+                                 st.lists(st.sampled_from(INDEX_TOKENS), min_size=1, max_size=5).map(" ".join)),
+                       min_size=1, max_size=5),
+    )
+    def test_every_mutation_sequence_scores_as_a_fresh_corpus(self, steps, picks):
+        """Stored and list sets mixed, entities repeated, after each edit of the knowledge base."""
+        corpus = three_entities()
+        for mutate, pick in [(None, 0)] + steps:
+            keys = list(corpus.snippets)
+            if mutate is not None and (keys or mutate is add):
+                mutate(corpus, keys[pick % len(keys)] if keys else None)
+            keys = list(corpus.snippets)
+            if not keys:
+                continue
+            fresh = Corpus({key: EntitySnippets(docs.rows) for key, docs in corpus.snippets.items()}, [])
+            chosen = [(keys[p % len(keys)], as_list) for p, as_list, _ in picks]
+            questions = [question for _, _, question in picks]
+
+            def sets_of(c):
+                return [list(c.snippets[key]) if as_list else c.snippets[key] for key, as_list in chosen]
+
+            vocab = build_vocabulary(corpus)
+            expected = tfidf_rank(build_vocabulary(fresh), questions, sets_of(fresh))
+            for _ in range(2):  # cold or mixed, then every entity stored
+                scores = tfidf_rank(vocab, questions, sets_of(corpus))
+                assert same_arrays(scores, expected)
+            for row, question, candidates in zip(scores, questions, sets_of(corpus)):
+                oracle = oracle_tfidf_scores(vocab.doc_freq, vocab.n_documents, question, candidates)
+                np.testing.assert_allclose(row[: len(candidates)], oracle, rtol=0, atol=1e-12)

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgdial.corpus import Corpus, DialogInstance, DialogTurn, KnowledgeSnippet, SnippetRef, Speaker, rank_order
+from kgdial.corpus import (
+    Corpus,
+    DialogInstance,
+    DialogTurn,
+    EntitySnippets,
+    KnowledgeSnippet,
+    SnippetRef,
+    Speaker,
+    rank_order,
+)
 from kgdial.evaluation import (
     DetectionMetrics,
     ReportEntry,
@@ -270,6 +279,36 @@ class TestEvaluateTfidf:
         assert runs[0] == runs[1]
         [message] = runs[0][1]
         assert message.startswith("tfidf evaluation: 1 candidate scores tied")
+
+    def test_an_entity_shared_by_two_corpora_scores_under_each_vocabulary(self):
+        # Two copies tie; the other corpus's first entity gives the same tokens other ids and idf.
+        shared = EntitySnippets([KnowledgeSnippet("d", "e", doc_id, title, body)
+                                 for doc_id, title, body in [("0", "alpha?", "beta."), ("1", "alpha?", "beta."),
+                                                             ("2", "gamma?", "delta alpha.")]])
+        other = [KnowledgeSnippet("d", "f", "0", "zeta delta?", "gamma gamma.")]
+
+        def asking(index, question, doc_id):
+            return DialogInstance(f"d{index:04d}", (DialogTurn(Speaker.USER, question),), target=True,
+                                  golden=SnippetRef("d", "e", doc_id))
+
+        corpora = [
+            Corpus({("d", "e"): shared}, [asking(0, "alpha", "1"), asking(1, "gamma delta", "2")]),
+            Corpus({("d", "f"): other, ("d", "e"): shared}, [asking(0, "beta alpha", "0"), asking(1, "delta", "2")]),
+        ]
+
+        def evaluated(corpus):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                metrics = evaluate_tfidf(corpus)
+            return metrics, [str(w.message) for w in caught]
+
+        expected = [evaluated(Corpus({key: EntitySnippets(docs.rows) for key, docs in corpus.snippets.items()},
+                                     corpus.dialogs)) for corpus in corpora]
+        assert expected[0] != expected[1] and all(messages for _, messages in expected)
+        for _ in range(3):
+            for corpus, fresh in zip(corpora, expected):
+                assert evaluated(corpus) == fresh
+                assert shared.tfidf_index[0] is corpus.vocabulary_index[1]
 
     def test_golden_missing_from_entity_names_dialog(self):
         broken = hotel_corpus_missing_golden()
