@@ -27,7 +27,8 @@ knowledge base costs it one object per entity, not one per document (one more
 for each of the entity's two indexes once filled: each holds its provider or
 vocabulary). A :class:`KnowledgeSnippet` is built only where one is asked for,
 by indexing or iterating; the hot paths (featurizing, TF-IDF, golden lookup,
-writing) read the rows and build none.
+writing) read the rows and build none. :func:`~kgdial.embedding.embed_pair` and
+:func:`~kgdial.embedding.tfidf_rank` wrap any other candidate sequence in one for the call.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ class EntitySnippets(Sequence):
     the same vocabulary weighs only its questions.
 
     Equality, ``repr`` and slicing ignore both indexes; a slice starts with
-    neither.
+    neither, and so does the wrapper either function makes, for one call, of
+    any other candidate sequence.
     """
 
     __slots__ = ("rows", "knowledge_index", "tfidf_index")
@@ -153,13 +155,9 @@ class EntitySnippets(Sequence):
         return f"EntitySnippets({list(self)!r})"
 
 
-def _rows(snippets: Sequence[KnowledgeSnippet]) -> Sequence[tuple]:
-    """The rows of an :class:`EntitySnippets`, or any other sequence of snippets as given.
-
-    Either way each item reads as a 5-tuple (a snippet is one), so a hot path
-    that indexes fields builds no snippet.
-    """
-    return snippets.rows if type(snippets) is EntitySnippets else snippets
+def _as_entity(snippets: Sequence[KnowledgeSnippet]) -> EntitySnippets:
+    """``snippets`` itself if it is an :class:`EntitySnippets`, else its snippets wrapped in a new one."""
+    return snippets if type(snippets) is EntitySnippets else EntitySnippets(snippets)
 
 
 @dataclass(frozen=True)
@@ -212,9 +210,7 @@ class Corpus:
     vocabulary_index: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.snippets = {
-            key: docs if type(docs) is EntitySnippets else EntitySnippets(docs) for key, docs in self.snippets.items()
-        }
+        self.snippets = {key: _as_entity(docs) for key, docs in self.snippets.items()}
 
     def find_snippet(self, ref: SnippetRef) -> KnowledgeSnippet | None:
         docs = self.snippets.get((ref.domain, ref.entity_id))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, _rows
+from .corpus import Corpus, EntitySnippets, KnowledgeSnippet, _as_entity
 
 # Sentinel emitted for text with no alphanumeric content, so every text
 # embeds to at least one row.
@@ -346,51 +346,44 @@ def _snippet_texts(rows) -> list[str]:
     return [f"{row[3]} {row[4]}" for row in rows]
 
 
-def _pair_tokens(question: str, candidates: Sequence[KnowledgeSnippet]) -> tuple[list[str], int, tuple[int, ...]]:
-    """The question's tokens then every candidate's (title and body), cut at 64 and 128 tokens.
-
-    Returns the tokens, the question's count m, and each candidate's first
-    token after the question's.
-    """
-    if not candidates:
+def _knowledge_tokens(entity: EntitySnippets) -> tuple[list[str], tuple[int, ...]]:
+    """Every snippet's tokens (title and body), each cut at 128, and each snippet's first token among them."""
+    if not entity.rows:
         raise ValueError("candidates must be non-empty")
-    q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-    k_lists = list(tokenize_batch(_snippet_texts(_rows(candidates))))
+    k_lists = list(tokenize_batch(_snippet_texts(entity.rows)))
     widths = list(map(len, k_lists))
     if max(widths) > MAX_KNOWLEDGE_TOKENS:
         k_lists = [tokens[:MAX_KNOWLEDGE_TOKENS] for tokens in k_lists]
         widths = list(map(len, k_lists))
-    return list(chain(q_tokens, *k_lists)), len(q_tokens), tuple(accumulate(widths[:-1], initial=0))
+    return list(chain.from_iterable(k_lists)), tuple(accumulate(widths[:-1], initial=0))
 
 
 def embed_pair(provider, question: str, candidates: Sequence[KnowledgeSnippet]) -> PairEmbedding:
     """Embed a question once and all candidates' snippet tokens (title and body) in one stacked call.
 
-    The only producer of a :class:`PairEmbedding`: ``_pair_tokens`` bounds m
-    and the widths and builds the starts, and ``_embedded_rows`` gives finite
-    unit rows.
+    The only producer of a :class:`PairEmbedding`, with the question cut at
+    64 tokens and each snippet at 128 (:func:`_knowledge_tokens`). Candidates
+    that are not an :class:`~kgdial.corpus.EntitySnippets` are wrapped in one.
 
-    For an :class:`~kgdial.corpus.EntitySnippets` and a provider of this
-    module, the snippets' row numbers are kept in the entity's knowledge
-    index (one int array, ≈2 KB for 64 synth snippets, for as long as the
-    corpus lives). The first call, or a call with another provider, does the
-    work above and stores the index; a later call with the same provider (a
-    request, a training or an evaluation pass) tokenizes and looks up only the
-    question and gathers its rows and the stored ones in one take; both give the same rows.
+    With a provider of this module, the entity's knowledge index keeps its
+    snippets' row numbers (one int array, ≈2 KB for 64 synth snippets). A call
+    reads the index once, looks up the question's rows, fills the index if it
+    is missing or holds another provider, and gathers both in one take, so a
+    later call with the same provider tokenizes only its question. Any other
+    provider embeds all the tokens in one call, at unit norm (:func:`_embedded_rows`).
     """
-    if type(candidates) is EntitySnippets and isinstance(provider, _TokenVectors):
-        # Both paths read the table after their lookup: storing a new token can reallocate it.
-        index = candidates.knowledge_index
-        if index is not None and index[0] is provider:
-            q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
-            rows = np.concatenate((provider._token_rows(q_tokens), index[1]))
-            return PairEmbedding(provider._table.take(rows, axis=0), len(q_tokens), index[2])
-        tokens, m, starts = _pair_tokens(question, candidates)
-        rows = provider._token_rows(tokens)
-        candidates.knowledge_index = (provider, rows[m:], starts)
-        return PairEmbedding(provider._table.take(rows, axis=0), m, starts)
-    tokens, m, starts = _pair_tokens(question, candidates)
-    return PairEmbedding(_embedded_rows(provider, tokens), m, starts)
+    entity = _as_entity(candidates)
+    q_tokens = tokenize(question)[:MAX_QUESTION_TOKENS]
+    if not isinstance(provider, _TokenVectors):
+        k_tokens, starts = _knowledge_tokens(entity)
+        return PairEmbedding(_embedded_rows(provider, q_tokens + k_tokens), len(q_tokens), starts)
+    index = entity.knowledge_index
+    q_rows = provider._token_rows(q_tokens)
+    if index is None or index[0] is not provider:
+        k_tokens, starts = _knowledge_tokens(entity)
+        index = entity.knowledge_index = (provider, provider._token_rows(k_tokens), starts)
+    # Read the table only now: storing a new token can reallocate it.
+    return PairEmbedding(provider._table.take(np.concatenate((q_rows, index[1])), axis=0), len(q_tokens), index[2])
 
 
 @dataclass(frozen=True)
@@ -425,7 +418,7 @@ def build_vocabulary(corpus: Corpus) -> Vocabulary:
     index = corpus.vocabulary_index
     if index is not None and index[0] == entities:
         return index[1]
-    texts = _snippet_texts(chain.from_iterable(map(_rows, entities)))
+    texts = _snippet_texts(chain.from_iterable(entity.rows for entity in entities))
     doc_freq = dict(Counter(chain.from_iterable(map(dict.fromkeys, tokenize_batch(texts)))))
     n = len(texts)
     idf = np.array([math.log((1 + n) / (1 + df)) + 1.0 for df in doc_freq.values()])
@@ -450,45 +443,35 @@ def _token_weights(vocab: Vocabulary, texts: list[str]) -> tuple[np.ndarray, np.
     return keys, counts * vocab.idf[keys % vocab.idf.size]
 
 
-def _candidate_weights(
-    vocab: Vocabulary, candidate_sets: list[Sequence[KnowledgeSnippet]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_token_weights` of every candidate of the sets, in order, keyed ``candidate index * V + token id``.
+def _candidate_weights(vocab: Vocabulary, entities: list[EntitySnippets]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_token_weights` of every candidate of the entities, in order, keyed ``candidate index * V + token id``.
 
-    A set that is an :class:`~kgdial.corpus.EntitySnippets` whose TF-IDF
-    index holds ``vocab`` reads its stored rows. Every other distinct set (by
+    Each distinct entity's TF-IDF index is read once. An entity whose index
+    holds ``vocab`` reads its stored rows; every other distinct entity (by
     identity; one repeated in the call is weighed once) is weighed in one
-    :func:`_token_weights` call, and each ``EntitySnippets`` among them
-    stores its slice, keyed by snippet index within the entity and made
-    read-only. When every set is distinct and none was stored, that call's
-    arrays are returned as they are; otherwise each set's rows are shifted
-    by its first candidate's index and joined in call order. Either way
-    the keys come out sorted and each weight is the same float.
+    :func:`_token_weights` call and stores its slice, keyed by snippet index
+    within the entity and made read-only. When every entity is distinct and
+    none was stored, that call's arrays are returned as they are; otherwise
+    each entity's rows are shifted by its first candidate's index and joined
+    in call order. Either way the keys come out sorted and each weight is
+    the same float.
     """
     vocab_size = vocab.idf.size
-    indexes = {}  # id(set) -> (vocab, keys within the set, weights)
-    fresh = {}  # id(set) -> set, for the distinct sets still to weigh
-    for snippets in candidate_sets:
-        index = snippets.tfidf_index if type(snippets) is EntitySnippets else None
-        if index is not None and index[0] is vocab:
-            indexes[id(snippets)] = index
-        else:
-            fresh[id(snippets)] = snippets
-    if fresh:
-        sets = list(fresh.values())
-        keys, weights = _token_weights(vocab, _snippet_texts(chain.from_iterable(map(_rows, sets))))
-        starts = np.fromiter(accumulate(map(len, sets), initial=0), dtype=np.int64, count=len(sets) + 1) * vocab_size
+    distinct = {id(entity): entity for entity in entities}
+    indexes = {key: entity.tfidf_index for key, entity in distinct.items()}  # read once: another call may replace one
+    stale = [distinct[key] for key, index in indexes.items() if index is None or index[0] is not vocab]
+    if stale:
+        keys, weights = _token_weights(vocab, _snippet_texts(chain.from_iterable(entity.rows for entity in stale)))
+        starts = np.fromiter(accumulate(map(len, stale), initial=0), dtype=np.int64, count=len(stale) + 1) * vocab_size
         bounds = np.searchsorted(keys, starts).tolist()
         local = keys - np.repeat(starts[:-1], np.diff(bounds))
         local.flags.writeable = weights.flags.writeable = False
-        for key, snippets, lo, hi in zip(fresh, sets, bounds, bounds[1:]):
-            index = indexes[key] = (vocab, local[lo:hi], weights[lo:hi])
-            if type(snippets) is EntitySnippets:
-                snippets.tfidf_index = index
-        if len(sets) == len(candidate_sets):
+        for entity, lo, hi in zip(stale, bounds, bounds[1:]):
+            entity.tfidf_index = indexes[id(entity)] = (vocab, local[lo:hi], weights[lo:hi])
+        if len(stale) == len(entities):
             return keys, weights
-    stored = [indexes[id(snippets)] for snippets in candidate_sets]
-    offsets = np.fromiter(accumulate(map(len, candidate_sets), initial=0), dtype=np.int64, count=len(stored))
+    stored = [indexes[id(entity)] for entity in entities]
+    offsets = np.fromiter(accumulate(map(len, entities), initial=0), dtype=np.int64, count=len(stored))
     shift = np.repeat(offsets * vocab_size, [len(index[1]) for index in stored])
     return (np.concatenate([index[1] for index in stored]) + shift, np.concatenate([index[2] for index in stored]))
 
@@ -506,19 +489,20 @@ def tfidf_rank(
     pass: norms and dot products are ``bincount`` sums, and each candidate
     token finds its question's weight by ``searchsorted``.
 
-    A candidate set that is an :class:`~kgdial.corpus.EntitySnippets` keeps
-    its weighed rows in its TF-IDF index, for this vocabulary, for as long
-    as the entity lives (16 B per distinct in-vocabulary token of each
-    snippet); a later call with the same vocabulary tokenizes and weighs
-    only its questions and whatever sets it has not seen, and scores the
-    same bits (see :func:`_candidate_weights`).
+    Each candidate set, wrapped in an :class:`~kgdial.corpus.EntitySnippets`
+    for the call if it is not one, keeps its weighed rows in its TF-IDF index
+    for this vocabulary (16 B per distinct in-vocabulary token of each
+    snippet); a later call with the same vocabulary and entity weighs only its
+    questions and the sets it has not seen, and scores the same bits (see
+    :func:`_candidate_weights`).
     """
-    widths = list(map(len, candidate_sets))
+    entities = list(map(_as_entity, candidate_sets))
+    widths = list(map(len, entities))
     if len(questions) != len(widths) or not widths or min(widths) < 1:
         raise ValueError("need one non-empty candidate list per question, and at least one question")
     n, vocab_size = sum(widths), vocab.idf.size
     question_of = np.repeat(np.arange(len(widths)), widths)  # per candidate
-    c_keys, c_weights = _candidate_weights(vocab, candidate_sets)
+    c_keys, c_weights = _candidate_weights(vocab, entities)
     candidate, token = np.divmod(c_keys, vocab_size)
     q_keys, q_weights = _token_weights(vocab, questions)
     c_norms = np.sqrt(np.bincount(candidate, c_weights * c_weights, n))

@@ -27,12 +27,11 @@ def format_generation_input(
 
     No whitespace is inserted beyond the space joining title and body. The
     response slot is the empty string when no response is given. The history
-    must start with a user turn.
+    must be non-empty; each turn is tagged by its own speaker, so it may
+    start with either.
     """
     if not history:
         raise ValueError("history must be non-empty")
-    if history[0].speaker is not _USER:
-        raise ValueError("first history turn must be a user turn")
     parts = [BOS, snippet.text]
     for turn in history:
         parts.append(SP_USER if turn.speaker is _USER else SP_SYS)

@@ -352,6 +352,23 @@ class TestPipelineCommand:
                               (domain, entity_id))
         assert cli_payload == json.loads(json.dumps(result_to_payload(result)))
 
+    def test_a_system_first_dialog_is_formatted(self, workdir, tmp_path, capsys):
+        # The loader takes a dialog whose first turn is the system's; the pipeline tags each turn by its speaker.
+        dialog_id, entity = self.target_dialog(workdir)
+        logs = json.loads(Path(workdir["logs"]).read_text())
+        index = int(dialog_id[1:])
+        logs[index].insert(0, {"speaker": "S", "text": "welcome back"})
+        logs_path = tmp_path / "logs.json"
+        logs_path.write_text(json.dumps(logs))
+        capsys.readouterr()
+        assert main(["pipeline", "--knowledge", workdir["knowledge"], "--logs", str(logs_path),
+                     "--labels", workdir["labels"], "--detector", workdir["detector"], "--model", workdir["selector"],
+                     "--dialog", dialog_id, "--entity", entity]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["triggered"] is True
+        snippet_text, history = payload["generation_input"].split("<sp2>", 1)
+        assert "<sp1>" not in snippet_text and history.startswith("welcome back<sp1>")
+
     def test_unknown_dialog_errors(self, workdir, capsys):
         capsys.readouterr()
         assert main(["pipeline", *workdir["corpus_flags"],

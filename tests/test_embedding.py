@@ -13,10 +13,11 @@ from kgdial.embedding import (
     _TOKEN_RE,
     EMPTY_TOKEN,
     MAX_KNOWLEDGE_TOKENS,
+    MAX_QUESTION_TOKENS,
     FileVectors,
     HashedGaussianVectors,
     _embedded_rows,
-    _pair_tokens,
+    _knowledge_tokens,
     _unit_rows,
     build_vocabulary,
     embed_pair,
@@ -432,7 +433,8 @@ class TestEmbedPair:
         assert type(pair.m) is int and type(pair.knowledge_starts) is tuple
         assert all(type(start) is int for start in pair.knowledge_starts)
         # The pair's rows are already unit rows: normalizing the raw rows of the same tokens gives them byte for byte.
-        raw = RawVectors(provider).embed_tokens(_pair_tokens(question, candidates)[0])
+        tokens = tokenize(question)[:MAX_QUESTION_TOKENS] + _knowledge_tokens(EntitySnippets(candidates))[0]
+        raw = RawVectors(provider).embed_tokens(tokens)
         assert pair.vectors.tobytes() == _unit_rows(raw).tobytes()
 
 
@@ -863,6 +865,28 @@ class TestTfidfIndex:
         assert calls == [(entity_texts(first, second),), (questions,)]
         lists = [list(first), list(second), list(first), list(first)]
         assert same_arrays(scores, tfidf_rank(vocab, questions, lists))
+
+    def test_a_call_reads_each_index_once(self, monkeypatch):
+        # As TestKnowledgeIndex::test_a_request_reads_the_index_once: another call (another thread, say)
+        # re-weighs a warm entity under another vocabulary while this call weighs its cold one; this call
+        # still scores the warm entity's rows under its own vocabulary.
+        corpus = three_entities()
+        vocab = build_vocabulary(corpus)
+        other = build_vocabulary(Corpus(dict(reversed(corpus.snippets.items())), []))  # other token ids
+        warm, cold = corpus.snippets[("d", "1")], corpus.snippets[("d", "2")]
+        questions = self.QUESTIONS[:2]
+        tfidf_rank(vocab, questions[:1], [warm])
+        original, interleaved = embedding._token_weights, []
+
+        def weigh(vocabulary, texts):
+            if vocabulary is vocab and not interleaved:
+                interleaved.append(tfidf_rank(other, ["t0"], [warm]))
+            return original(vocabulary, texts)
+
+        monkeypatch.setattr(embedding, "_token_weights", weigh)
+        scores = tfidf_rank(vocab, questions, [warm, cold])
+        assert interleaved and warm.tfidf_index[0] is other and cold.tfidf_index[0] is vocab
+        assert same_arrays(scores, tfidf_rank(vocab, questions, [list(warm), list(cold)]))
 
     @pytest.mark.parametrize("words", [TFIDF_TOKENS, TestKnowledgeIndex.WORDS], ids=["ascii", "odd"])
     def test_stored_rows_score_as_a_list_of_the_same_snippets(self, words):

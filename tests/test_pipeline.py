@@ -81,9 +81,8 @@ class TestFormatGenerationInput:
         assert text == "<BOS>q? a.<sp1>u1<sp2>s1<sp1>u2<sp2>r<EOS>"
 
     @settings(deadline=None, max_examples=100)
-    @given(history=st.lists(st.sampled_from([Speaker.USER, Speaker.SYS]), max_size=12), data=st.data())
-    def test_equals_the_tag_by_tag_oracle(self, history, data):
-        speakers = [Speaker.USER, *history]
+    @given(speakers=st.lists(st.sampled_from([Speaker.USER, Speaker.SYS]), min_size=1, max_size=13), data=st.data())
+    def test_equals_the_tag_by_tag_oracle(self, speakers, data):
         texts = data.draw(st.lists(st.sampled_from(["", "hi", "<sp2>", "Ünï ΟΔΟΣ", "a\x00b"]),
                                    min_size=len(speakers), max_size=len(speakers)))
         turns = list(map(DialogTurn, speakers, texts))
@@ -91,9 +90,11 @@ class TestFormatGenerationInput:
         expected = oracle_generation_input(snippet("q?", "a."), turns, response)
         assert format_generation_input(snippet("q?", "a."), turns, response) == expected
 
-    def test_first_turn_must_be_user(self):
-        with pytest.raises(ValueError, match="first history turn"):
-            format_generation_input(snippet("q?"), [DialogTurn(Speaker.SYS, "s")])
+    def test_a_system_first_history_renders_tag_by_tag(self):
+        history = [DialogTurn(Speaker.SYS, "s1"), DialogTurn(Speaker.USER, "u1")]
+        text = format_generation_input(snippet("q?", "a."), history, "r")
+        assert text == "<BOS>q? a.<sp2>s1<sp1>u1<sp2>r<EOS>"
+        assert text == oracle_generation_input(snippet("q?", "a."), history, "r")
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

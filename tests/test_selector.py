@@ -752,7 +752,7 @@ class TestSelectionInstances:
         instances = selection_instances(corpus, provider7, bank11)
         assert len(pairs) == len(products) == len(instances) == len(list(labeled_candidates(corpus))) > 0
         # Every entity's snippets were tokenized on the first pass; the second tokenizes only questions.
-        tokenized = count_calls(monkeypatch, embedding, "_pair_tokens")
+        tokenized = count_calls(monkeypatch, embedding, "_knowledge_tokens")
         again = selection_instances(corpus, provider7, bank11)
         assert tokenized == []
         assert [i.features.tobytes() for i in again] == [i.features.tobytes() for i in instances]
